@@ -7,8 +7,8 @@
 //! kernel edit that changes what actually leaks now fails loudly instead
 //! of silently weakening (or vacuously strengthening) the dynamic judge.
 
-use crate::interp::analyze_kernel;
-use sb_core::{Scheme, ThreatModel};
+use crate::interp::analyze;
+use sb_core::{ShadowKind, ThreatModel};
 use sb_workloads::AttackKernel;
 use std::fmt;
 
@@ -74,14 +74,16 @@ impl fmt::Display for ClaimDrift {
 impl std::error::Error for ClaimDrift {}
 
 /// Recomputes a kernel's claim constants from the static analysis alone.
+///
+/// Two walks suffice: the verdict reads only whether a scheme gates
+/// (every secure scheme does, identically) and whether the model tracks
+/// M-shadows, so the Baseline walk and one secure walk under the Spectre
+/// model cover all four schemes.
 #[must_use]
 pub fn recompute_claims(kernel: &AttackKernel) -> RecomputedClaims {
-    let base = analyze_kernel(kernel, Scheme::Baseline, ThreatModel::Spectre);
-    let spectre_blocks = Scheme::secure().into_iter().all(|s| {
-        analyze_kernel(kernel, s, ThreatModel::Spectre)
-            .may
-            .is_empty()
-    });
+    let tracks_m = ThreatModel::Spectre.tracks(ShadowKind::Memory);
+    let base = analyze(kernel, false, tracks_m);
+    let spectre_blocks = analyze(kernel, true, tracks_m).may.is_empty();
     RecomputedClaims {
         expected_slots: base.must.into_iter().collect(),
         allowed_slots: base.may.into_iter().collect(),

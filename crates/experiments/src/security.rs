@@ -198,15 +198,19 @@ fn measure_leaks_in(
 
 #[cfg(test)]
 fn judge(kernel: &AttackKernel, scheme: Scheme, threat_model: ThreatModel) -> ScenarioVerdict {
-    judge_in(kernel, scheme, threat_model, None).expect("uncancellable judge cannot fail")
+    let claims_verified = sb_analysis::audit_kernel(kernel).is_ok();
+    judge_in(kernel, scheme, threat_model, claims_verified, None)
+        .expect("uncancellable judge cannot fail")
 }
 
 /// Judges one cell under a job's cancel token; both scheduler runs observe
-/// the token.
+/// the token. `claims_verified` is the kernel's claims-audit outcome,
+/// which depends on the kernel alone, so callers audit once per kernel.
 fn judge_in(
     kernel: &AttackKernel,
     scheme: Scheme,
     threat_model: ThreatModel,
+    claims_verified: bool,
     ctx: Option<&JobCtx>,
 ) -> Result<ScenarioVerdict, JobFailure> {
     let wheel = measure_leaks_in(kernel, scheme, threat_model, SchedulerKind::EventWheel, ctx)?;
@@ -285,7 +289,6 @@ fn judge_in(
     {
         failures.push(err.to_string());
     }
-    let claims_verified = sb_analysis::audit_kernel(kernel).is_ok();
 
     Ok(ScenarioVerdict {
         scenario: kernel.trace.name().to_string(),
@@ -318,21 +321,24 @@ pub fn verify_security(threat_models: &[ThreatModel]) -> SecurityVerdict {
 #[must_use]
 pub fn verify_security_with(threat_models: &[ThreatModel], policy: &JobPolicy) -> SecurityVerdict {
     let battery = attack_battery(BATTERY_SECRET);
-    let points: Vec<(ThreatModel, &AttackKernel, Scheme)> = threat_models
+    let claims_verified: Vec<bool> = battery
+        .iter()
+        .map(|k| sb_analysis::audit_kernel(k).is_ok())
+        .collect();
+    let points: Vec<(ThreatModel, usize, Scheme)> = threat_models
         .iter()
         .flat_map(|&model| {
-            battery
-                .iter()
-                .flat_map(move |kernel| Scheme::all().into_iter().map(move |s| (model, kernel, s)))
+            (0..battery.len())
+                .flat_map(move |k| Scheme::all().into_iter().map(move |s| (model, k, s)))
         })
         .collect();
     let labels: Vec<String> = points
         .iter()
-        .map(|(model, kernel, scheme)| format!("{model}/{}/{scheme}", kernel.trace.name()))
+        .map(|&(model, k, scheme)| format!("{model}/{}/{scheme}", battery[k].trace.name()))
         .collect();
     let report = jobs::run_batch(&labels, policy, |ctx| {
-        let (model, kernel, scheme) = points[ctx.index];
-        judge_in(kernel, scheme, model, Some(ctx))
+        let (model, k, scheme) = points[ctx.index];
+        judge_in(&battery[k], scheme, model, claims_verified[k], Some(ctx))
     });
     let cells: Vec<ScenarioVerdict> = report.results.into_iter().flatten().collect();
     let ok = report.failures.is_empty() && cells.iter().all(|c| c.pass);
