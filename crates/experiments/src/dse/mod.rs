@@ -25,5 +25,3 @@ pub use manifest::{
 };
 pub use run::{point_fingerprint, replicate_seed, run_sweep, PointResult, SweepOutcome};
 pub use spec::{Axis, SpecError, SweepPoint, SweepSpec, MAX_POINTS, MAX_REPLICATES};
-
-pub(crate) use spec::{base_config, scheme_from_key};

@@ -138,7 +138,7 @@ pub fn bench_trace(profile: &WorkloadProfile, spec: &RunSpec) -> sb_isa::Trace {
 /// component of the point's stats-store key, so trace identity and result
 /// identity are keyed consistently.
 pub(crate) fn bench_seed(profile: &WorkloadProfile, spec: &RunSpec) -> u64 {
-    spec.seed ^ fxhash(profile.name)
+    spec.seed ^ sb_isa::fnv::hash_str(profile.name)
 }
 
 /// [`run_bench`] on a pre-generated trace.
@@ -221,13 +221,6 @@ fn finish_cancellable(
         BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get()),
         stats,
     ))
-}
-
-fn fxhash(s: &str) -> u64 {
-    // Small deterministic string hash for per-benchmark seeds.
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// Runs the full 22-benchmark suite on one (config, scheme) point over the
@@ -319,11 +312,9 @@ impl GridResults {
 /// A progress observer for batch runs: called once per *settled* point
 /// (simulated or served from the stats store) with the running count and
 /// the batch total. Failed points emit no event — progress is monotone and
-/// the run report carries the failures.
-///
-/// This replaces direct printing inside the runners: the CLI stays silent
-/// during a run, while the `serve` daemon forwards each call as an
-/// `EVENT <id> point k/n` line to every client waiting on the job.
+/// the run report carries the failures. The grid and sweep runners report
+/// through this sink instead of printing, so the CLI stays silent during a
+/// run.
 #[derive(Clone)]
 pub struct ProgressSink(Arc<dyn Fn(usize, usize) + Send + Sync>);
 
@@ -346,7 +337,7 @@ impl std::fmt::Debug for ProgressSink {
     }
 }
 
-/// Execution options for [`run_grid_with`].
+/// Execution options for [`run_grid_with`] and [`crate::dse::run_sweep`].
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Job-layer policy: workers, deadlines, budget, retries, faults.
@@ -415,21 +406,6 @@ pub fn run_grid_with(
         .iter()
         .flat_map(|c| Scheme::all().into_iter().map(|s| (c.clone(), s)))
         .collect();
-    run_points_with(&points, spec, opts)
-}
-
-/// Runs an explicit list of `(config, scheme)` points — the grid runner's
-/// general form. [`run_grid_with`] is the full `configs × Scheme::all()`
-/// cross product; the `serve` daemon also runs single-suite jobs (one
-/// point) and client-selected subsets through this same entry, so every
-/// caller shares the memoization keys, the cancellation path, and the
-/// progress events.
-#[must_use]
-pub fn run_points_with(
-    points: &[(CoreConfig, Scheme)],
-    spec: &RunSpec,
-    opts: &RunOptions,
-) -> (GridResults, RunReport) {
     let profiles = spec2017_profiles();
     let jobs_n = points.len() * profiles.len();
     let labels: Vec<String> = (0..jobs_n)
@@ -509,10 +485,9 @@ pub fn run_points_with(
         }
         Ok(row)
     });
-    // Unique config names in point order: a grid lists each config once
-    // even though it contributes one point per scheme.
+    // Unique config names in run order (a repeated config is listed once).
     let mut config_names: Vec<String> = Vec::new();
-    for (config, _) in points {
+    for config in configs {
         if !config_names.iter().any(|n| n == config.name) {
             config_names.push(config.name.to_string());
         }
@@ -607,7 +582,8 @@ mod tests {
 
     #[test]
     fn per_benchmark_seeds_differ() {
-        assert_ne!(fxhash("503.bwaves"), fxhash("505.mcf"));
+        let p = spec2017_profiles();
+        assert_ne!(bench_seed(&p[0], &tiny()), bench_seed(&p[1], &tiny()));
     }
 
     #[test]
@@ -736,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn single_point_run_covers_one_suite_and_reports_progress() {
+    fn grid_run_reports_one_progress_event_per_settled_point() {
         let events: Arc<std::sync::Mutex<Vec<(usize, usize)>>> =
             Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = {
@@ -749,45 +725,15 @@ mod tests {
             store: None,
             progress: Some(sink),
         };
-        let (grid, report) = run_points_with(&[(CoreConfig::small(), Scheme::Nda)], &tiny(), &opts);
+        let (grid, report) = run_grid_with(&[CoreConfig::small()], &tiny(), &opts);
         assert!(report.ok());
-        assert_eq!((report.simulated, report.total), (22, 22));
+        assert_eq!((report.simulated, report.total), (88, 88));
         assert_eq!(grid.configs(), ["small".to_string()]);
-        assert_eq!(grid.suite("small", Scheme::Nda).unwrap().len(), 22);
-        // The other schemes were never part of this run.
-        assert!(grid.suite("small", Scheme::Baseline).is_err());
-        // One event per settled point, every count 1..=22 exactly once.
+        // One event per settled point, every count 1..=88 exactly once.
         let mut seen: Vec<(usize, usize)> = events.lock().unwrap().clone();
-        assert_eq!(seen.len(), 22);
-        assert!(seen.iter().all(|&(_, n)| n == 22));
+        assert_eq!(seen.len(), 88);
+        assert!(seen.iter().all(|&(_, n)| n == 88));
         seen.sort_unstable();
         assert!(seen.iter().enumerate().all(|(i, &(k, _))| k == i + 1));
-    }
-
-    #[test]
-    fn grid_points_match_the_explicit_point_list() {
-        // run_grid_with is exactly run_points_with over configs × schemes:
-        // same suites, same config list, nothing extra.
-        let spec = tiny();
-        let opts = RunOptions {
-            policy: JobPolicy::default(),
-            resume: false,
-            store: None,
-            progress: None,
-        };
-        let points: Vec<(CoreConfig, Scheme)> = Scheme::all()
-            .into_iter()
-            .map(|s| (CoreConfig::small(), s))
-            .collect();
-        let (by_points, report) = run_points_with(&points, &spec, &opts);
-        assert!(report.ok());
-        let (by_grid, _) = run_grid_with(&[CoreConfig::small()], &spec, &opts);
-        assert_eq!(by_points.configs(), by_grid.configs());
-        for scheme in Scheme::all() {
-            assert_eq!(
-                by_points.suite("small", scheme).unwrap(),
-                by_grid.suite("small", scheme).unwrap()
-            );
-        }
     }
 }

@@ -128,12 +128,6 @@ pub struct JobPolicy {
     pub backoff: Duration,
     /// Deterministic fault injection; `None` outside the test/CI harness.
     pub faults: Option<FaultPlan>,
-    /// External cancellation parent: when set, the batch's budget token is
-    /// chained under it, so cancelling this token stops every job in the
-    /// batch (queued jobs never start; running simulations park at their
-    /// next [`sb_uarch::cancel::CANCEL_POLL_CYCLES`] poll). This is how
-    /// the `serve` daemon's `CANCEL` verb reaches into `Core::run`.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for JobPolicy {
@@ -145,7 +139,6 @@ impl Default for JobPolicy {
             max_attempts: 3,
             backoff: Duration::from_millis(25),
             faults: None,
-            cancel: None,
         }
     }
 }
@@ -283,13 +276,9 @@ where
     T: Send,
     F: Fn(&JobCtx) -> Result<T, JobFailure> + Sync,
 {
-    let deadline = policy.run_budget.map(|b| Instant::now() + b);
-    let budget = match &policy.cancel {
-        Some(parent) => parent.child(deadline),
-        None => match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        },
+    let budget = match policy.run_budget {
+        Some(b) => CancelToken::with_budget(b),
+        None => CancelToken::new(),
     };
     let outcomes = pool::run_indexed_outcomes(labels.len(), policy.workers, |i| {
         run_one_job(i, policy, &budget, &f)
@@ -472,51 +461,6 @@ mod tests {
             }
             Err(ctx.interruption())
         });
-        assert_eq!(report.failures[0].cause, JobFailure::Cancelled);
-    }
-
-    #[test]
-    fn external_cancel_token_stops_queued_jobs() {
-        // A pre-cancelled external parent behaves exactly like an
-        // exhausted budget: nothing starts, every job is Cancelled.
-        let token = CancelToken::new();
-        token.cancel();
-        let policy = JobPolicy {
-            cancel: Some(token),
-            ..quick_policy()
-        };
-        let ran = AtomicU32::new(0);
-        let report = run_batch(&labels(4), &policy, |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        assert!(report
-            .failures
-            .iter()
-            .all(|e| e.cause == JobFailure::Cancelled && e.attempts == 0));
-    }
-
-    #[test]
-    fn external_cancel_reaches_a_running_job() {
-        let token = CancelToken::new();
-        let policy = JobPolicy {
-            workers: 1,
-            cancel: Some(token.clone()),
-            ..quick_policy()
-        };
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            token.cancel();
-        });
-        let report = run_batch(&labels(1), &policy, |ctx| -> Result<(), _> {
-            // Cooperative job body: poll the token like the core does.
-            while !ctx.cancel.is_cancelled() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(ctx.interruption())
-        });
-        canceller.join().unwrap();
         assert_eq!(report.failures[0].cause, JobFailure::Cancelled);
     }
 

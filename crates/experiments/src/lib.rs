@@ -19,7 +19,6 @@ pub mod pool;
 mod render;
 mod reports;
 pub mod security;
-pub mod serve;
 pub mod stats_store;
 
 pub use analyze::{
@@ -27,8 +26,8 @@ pub use analyze::{
     static_matrix_report, ExtendedAudit, StaticCell, StaticVerdict,
 };
 pub use engine::{
-    bench_trace, run_bench, run_bench_on_trace, run_grid, run_grid_with, run_points_with,
-    run_suite, ExperimentError, GridResults, ProgressSink, RunOptions, RunReport, RunSpec,
+    bench_trace, run_bench, run_bench_on_trace, run_grid, run_grid_with, run_suite,
+    ExperimentError, GridResults, ProgressSink, RunOptions, RunReport, RunSpec,
 };
 pub use faults::{FaultPlan, FAULT_ENV};
 pub use jobs::{BatchReport, JobCtx, JobError, JobFailure, JobPolicy};

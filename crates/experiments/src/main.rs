@@ -88,13 +88,12 @@ use sb_experiments::dse::{
     SweepSpec,
 };
 use sb_experiments::security::BATTERY_SECRET;
-use sb_experiments::serve::{run_client, serve, ServeOptions};
 use sb_experiments::{
     analyze_battery, extended_claims_audit, fig10_report, fig1_table3_report, fig6_report,
     fig7_report, fig8_report, fig9_report, perturb_battery_claim, run_grid_with, sec92_report,
     security_matrix_report, security_report, static_matrix_report, table1_report, table4_report,
     table5_report, verify_security_with, ExperimentError, FaultPlan, GridResults, JobPolicy,
-    Report, RunOptions, RunSpec, StatsStore,
+    Report, RunOptions, RunSpec,
 };
 use sb_uarch::CoreConfig;
 use std::path::PathBuf;
@@ -123,12 +122,7 @@ const USAGE: &str =
      or: sb-experiments sweep (--spec SPEC | --from-manifest PATH) [--top N] [--out DIR]\n\
      \x20                     [--ops N] [--seed S] [--no-trace-cache] [--resume]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
-     or: sb-experiments serve [--addr HOST:PORT] [--no-trace-cache]\n\
-     \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      or: sb-experiments import FILE.sbtr [--scheme baseline|stt-rename|stt-issue|nda]\n\
-     or: sb-experiments submit --addr HOST:PORT VERB [ARG...]\n\
-     \x20  verbs: SUBMIT grid|suite|sweep|verify-security key=value... | STATUS id | CANCEL id\n\
-     \x20         | WAIT id | HEALTH | METRICS | SHUTDOWN\n\
      sweep spec: key=value tokens — axes (rob width mem-ports iq lq sq phys-regs br-tags\n\
      \x20  l1-sets l1-ways l2-sets l2-ways l1-prefetch l2-prefetch) with comma lists or a..b[:step]\n\
      \x20  ranges, base=small|medium|large|mega|gem5-stt|gem5-nda, preset=boom|gem5,\n\
@@ -289,10 +283,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 return Err(format!("unknown flag {other}"));
             }
             other => {
-                if other == "serve" || other == "submit" || other == "import" {
-                    // These subcommands are dispatched before parse_args
-                    // ever runs; reaching here means they were not the
-                    // first argument.
+                if other == "import" {
+                    // `import` is dispatched before parse_args ever runs;
+                    // reaching here means it was not the first argument.
                     return Err(format!("'{other}' must be the first argument"));
                 }
                 if !EXPERIMENT_NAMES.contains(&other) && !SUBCOMMANDS.contains(&other) {
@@ -639,113 +632,6 @@ fn run_sweep_command(args: &Args, policy: &JobPolicy) {
     }
 }
 
-/// Parsed `serve` flags: bind address, job policy, trace-cache toggle.
-#[derive(Debug)]
-struct ServeArgs {
-    addr: String,
-    job_deadline: Option<Duration>,
-    run_budget: Option<Duration>,
-    faults: Option<FaultPlan>,
-    no_trace_cache: bool,
-    help: bool,
-}
-
-/// Parses `serve`'s own flag set (strict: unknown flags and positional
-/// arguments are hard errors, like everywhere else in this CLI).
-fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
-    let mut out = ServeArgs {
-        addr: "127.0.0.1:0".to_string(),
-        job_deadline: None,
-        run_budget: None,
-        faults: None,
-        no_trace_cache: false,
-        help: false,
-    };
-    let mut it = rest.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => out.addr = it.next().ok_or("--addr requires a value")?,
-            "--job-deadline" => {
-                out.job_deadline = Some(secs_value("--job-deadline", it.next())?);
-            }
-            "--run-budget" => out.run_budget = Some(secs_value("--run-budget", it.next())?),
-            "--inject-faults" => {
-                let spec = it.next().ok_or("--inject-faults requires a value")?;
-                out.faults = Some(
-                    FaultPlan::parse(&spec)
-                        .map_err(|e| format!("invalid value for --inject-faults: {e}"))?,
-                );
-            }
-            "--no-trace-cache" => out.no_trace_cache = true,
-            "--help" | "-h" => out.help = true,
-            other => return Err(format!("unknown 'serve' argument {other}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Parses `submit`'s grammar: `--addr HOST:PORT` followed by the raw
-/// request words, forwarded verbatim to the daemon.
-fn parse_submit_args(rest: &[String]) -> Result<(String, Vec<String>), String> {
-    match rest {
-        [] => Err("'submit' requires --addr HOST:PORT followed by a request".into()),
-        [first, ..] if first == "--help" || first == "-h" => Ok((String::new(), Vec::new())),
-        [first, addr, words @ ..] if first == "--addr" => {
-            if words.is_empty() {
-                return Err("'submit' requires a request after --addr (e.g. HEALTH)".into());
-            }
-            Ok((addr.clone(), words.to_vec()))
-        }
-        _ => Err("'submit' requires --addr HOST:PORT as its first flag".into()),
-    }
-}
-
-/// The `serve` subcommand: run the daemon until `SHUTDOWN`.
-fn run_serve_command(rest: &[String]) -> ! {
-    let args = match parse_serve_args(rest) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if args.help {
-        println!("{USAGE}");
-        std::process::exit(0);
-    }
-    if args.no_trace_cache {
-        std::env::set_var(sb_workloads::TRACE_CACHE_ENV, "0");
-    }
-    let faults = match &args.faults {
-        Some(plan) => Some(plan.clone()),
-        None => match FaultPlan::from_env() {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let opts = ServeOptions {
-        addr: args.addr,
-        policy: JobPolicy {
-            job_deadline: args.job_deadline,
-            run_budget: args.run_budget,
-            faults,
-            ..JobPolicy::default()
-        },
-        store: StatsStore::from_env(),
-    };
-    match serve(opts) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// The `import` subcommand: decode an external SBTR trace file, run it
 /// under both schedulers (they must agree), print the summary.
 fn run_import_command(rest: &[String]) -> ! {
@@ -804,30 +690,10 @@ fn run_import_command(rest: &[String]) -> ! {
     }
 }
 
-/// The `submit` subcommand: one-shot client against a running daemon.
-fn run_submit_command(rest: &[String]) -> ! {
-    match parse_submit_args(rest) {
-        Ok((addr, words)) if words.is_empty() => {
-            debug_assert!(addr.is_empty()); // --help
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        Ok((addr, words)) => std::process::exit(run_client(&addr, &words)),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("serve") => run_serve_command(&raw[1..]),
-        Some("submit") => run_submit_command(&raw[1..]),
-        Some("import") => run_import_command(&raw[1..]),
-        _ => {}
+    if raw.first().map(String::as_str) == Some("import") {
+        run_import_command(&raw[1..]);
     }
     let args = match parse_args(raw) {
         Ok(args) => args,
@@ -1030,60 +896,18 @@ mod tests {
     }
 
     #[test]
-    fn misplaced_serve_and_submit_are_rejected() {
-        // First-position dispatch happens in main(); anywhere else the
-        // words must not be swallowed as experiment names.
-        for sub in ["serve", "submit"] {
-            let err = parse(&["table1", sub]).unwrap_err();
-            assert!(err.contains("first argument"), "{err}");
+    fn misplaced_import_is_rejected_and_removed_subcommands_are_unknown() {
+        // First-position dispatch happens in main(); anywhere else `import`
+        // must not be swallowed as an experiment name.
+        let err = parse(&["table1", "import", "trace.sbtr"]).unwrap_err();
+        assert!(err.contains("'import' must be the first argument"), "{err}");
+        for word in ["serve", "submit"] {
+            let err = parse(&[word]).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown experiment '{word}'")),
+                "{err}"
+            );
         }
-    }
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn serve_args_parse_with_defaults_and_strict_flags() {
-        let a = parse_serve_args(&strings(&[])).unwrap();
-        assert_eq!(a.addr, "127.0.0.1:0");
-        assert!(a.job_deadline.is_none() && a.run_budget.is_none());
-        let a = parse_serve_args(&strings(&[
-            "--addr",
-            "127.0.0.1:7923",
-            "--job-deadline",
-            "2.5",
-            "--inject-faults",
-            "panic@3",
-        ]))
-        .unwrap();
-        assert_eq!(a.addr, "127.0.0.1:7923");
-        assert_eq!(a.job_deadline, Some(Duration::from_secs_f64(2.5)));
-        assert!(a.faults.is_some());
-        let err = parse_serve_args(&strings(&["--resume"])).unwrap_err();
-        assert!(err.contains("--resume"), "{err}");
-        let err = parse_serve_args(&strings(&["--inject-faults", "bogus@x"])).unwrap_err();
-        assert!(err.contains("--inject-faults"), "{err}");
-    }
-
-    #[test]
-    fn submit_args_require_addr_then_request() {
-        let (addr, words) =
-            parse_submit_args(&strings(&["--addr", "127.0.0.1:7923", "HEALTH"])).unwrap();
-        assert_eq!(addr, "127.0.0.1:7923");
-        assert_eq!(words, vec!["HEALTH"]);
-        let (_, words) = parse_submit_args(&strings(&[
-            "--addr",
-            "127.0.0.1:1",
-            "SUBMIT",
-            "grid",
-            "ops=3000",
-        ]))
-        .unwrap();
-        assert_eq!(words, vec!["SUBMIT", "grid", "ops=3000"]);
-        assert!(parse_submit_args(&strings(&[])).is_err());
-        assert!(parse_submit_args(&strings(&["HEALTH"])).is_err());
-        assert!(parse_submit_args(&strings(&["--addr", "127.0.0.1:1"])).is_err());
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! [`STATS_FORMAT_VERSION`]; the field-count word turns a missed bump into
 //! a clean miss instead of misattributed counters.
 
+use sb_isa::fnv;
 use sb_stats::SimStats;
 use sb_workloads::{cache_dir_from_env, cache_entry_stem};
 use std::fs;
@@ -50,31 +51,21 @@ const FIELD_COUNT: u32 = 26;
 /// Distinguishes concurrent writers' temporary files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// FNV-1a over a byte slice — the entry checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// FNV-1a of a string — for folding axis tags (scheme, threat model) into
 /// an entry fingerprint.
 #[must_use]
 pub fn tag_fp(tag: &str) -> u64 {
-    fnv1a(tag.as_bytes())
+    fnv::hash_str(tag)
 }
 
-/// Folds several fingerprint words into one entry fingerprint
-/// (order-sensitive, so `(config, scheme)` and `(scheme, config)` differ).
+/// Folds several fingerprint words into one entry fingerprint: FNV-1a over
+/// their little-endian bytes (order-sensitive, so `(config, scheme)` and
+/// `(scheme, config)` differ).
 #[must_use]
 pub fn combine_fp(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for b in part.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    parts.into_iter().fold(fnv::OFFSET, |h, part| {
+        fnv::fold_bytes(h, &part.to_le_bytes())
+    })
 }
 
 /// The fixed serialization order of every counter. One place to keep the
@@ -161,7 +152,7 @@ pub fn encode_stats(name: &str, stats: &SimStats) -> Vec<u8> {
     for v in field_values(stats) {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let checksum = fnv1a(&out);
+    let checksum = fnv::hash_bytes(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -196,7 +187,7 @@ pub fn decode_stats(bytes: &[u8], expected_name: &str) -> Option<SimStats> {
         *v = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
     }
     let stored = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-    if pos != bytes.len() || stored != fnv1a(&bytes[..bytes.len() - 8]) {
+    if pos != bytes.len() || stored != fnv::hash_bytes(&bytes[..bytes.len() - 8]) {
         return None;
     }
     Some(stats_from_fields(&values))
@@ -204,42 +195,16 @@ pub fn decode_stats(bytes: &[u8], expected_name: &str) -> Option<SimStats> {
 
 /// A directory of serialized `SimStats` keyed by
 /// `(benchmark name, ops, seed, fingerprint, format version)`.
-///
-/// Every store carries shared hit/miss counters: [`StatsStore::load`]
-/// counts one hit per successful decode and one miss per absent or
-/// invalid entry. Clones share the counters (they are the same store), so
-/// a long-running process — the `serve` daemon's `METRICS` verb in
-/// particular — can report cache effectiveness across every job it ran.
 #[derive(Clone, Debug)]
 pub struct StatsStore {
     dir: PathBuf,
-    hits: std::sync::Arc<AtomicU64>,
-    misses: std::sync::Arc<AtomicU64>,
 }
 
 impl StatsStore {
     /// A store rooted at `dir` (created lazily on first write).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        StatsStore {
-            dir: dir.into(),
-            hits: std::sync::Arc::new(AtomicU64::new(0)),
-            misses: std::sync::Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Number of [`StatsStore::load`] calls that decoded a valid entry,
-    /// across this store and every clone of it.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of [`StatsStore::load`] calls that missed (absent entry or
-    /// any validation failure), across this store and every clone of it.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        StatsStore { dir: dir.into() }
     }
 
     /// The store honoring [`STATS_CACHE_ENV`]: `None` when disabled
@@ -287,21 +252,11 @@ impl StatsStore {
     #[must_use]
     pub fn load(&self, name: &str, ops: usize, seed: u64, fp: u64) -> Option<SimStats> {
         let path = self.path_for(name, ops, seed, fp);
-        let Ok(bytes) = fs::read(&path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match decode_stats(&bytes, name) {
-            Some(stats) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(stats)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
-                None
-            }
+        let stats = decode_stats(&fs::read(&path).ok()?, name);
+        if stats.is_none() {
+            let _ = fs::remove_file(&path);
         }
+        stats
     }
 
     /// Serializes `stats` under its key via write-to-temporary plus atomic
@@ -433,25 +388,6 @@ mod tests {
         assert!(!path.exists(), "bad entry removed");
         store.save("505.mcf", 100, 1, 2, &stats).unwrap();
         assert_eq!(store.load("505.mcf", 100, 1, 2), Some(stats));
-        cleanup(&store);
-    }
-
-    #[test]
-    fn hit_and_miss_counters_track_loads_and_are_shared_by_clones() {
-        let store = temp_store("counters");
-        assert_eq!((store.hits(), store.misses()), (0, 0));
-        // Absent entry: one miss.
-        assert!(store.load("505.mcf", 10, 1, 2).is_none());
-        assert_eq!((store.hits(), store.misses()), (0, 1));
-        // Valid entry: hits, observed through a clone (same store).
-        store.save("505.mcf", 10, 1, 2, &sample_stats()).unwrap();
-        let clone = store.clone();
-        assert!(clone.load("505.mcf", 10, 1, 2).is_some());
-        assert_eq!((store.hits(), store.misses()), (1, 1));
-        // Corrupt entry: a miss, not a hit.
-        crate::faults::corrupt_file(&store.path_for("505.mcf", 10, 1, 2)).unwrap();
-        assert!(store.load("505.mcf", 10, 1, 2).is_none());
-        assert_eq!((store.hits(), store.misses()), (1, 2));
         cleanup(&store);
     }
 

@@ -119,17 +119,17 @@ fn op_record_len(version: u32) -> usize {
 /// `(h ^ word) * odd-prime` — bijective in `word` for fixed `h` — so a
 /// single-byte corruption anywhere always changes the digest.
 fn checksum(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (bytes.len() as u64).wrapping_mul(PRIME);
+    use crate::fnv::{fold, OFFSET, PRIME};
+    let mut h = OFFSET ^ (bytes.len() as u64).wrapping_mul(PRIME);
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+        h = fold(h, u64::from_le_bytes(w.try_into().unwrap()));
     }
     let rem = words.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
+        h = fold(h, u64::from_le_bytes(tail));
     }
     h ^ (h >> 32)
 }

@@ -15,9 +15,7 @@ pub struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = crate::fnv::fold_bytes(self.0, bytes);
     }
 
     fn write_u64(&mut self, n: u64) {

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 mod codec;
+pub mod fnv;
 mod hash;
 mod ids;
 mod op;

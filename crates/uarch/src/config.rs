@@ -321,12 +321,8 @@ impl CoreConfig {
     /// across them by construction.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
-        let mut h = self
-            .name
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| fold(h, u64::from(b)));
-        h = fold(h, SIM_RESULTS_REVISION);
+        use sb_isa::fnv::{fold, hash_str};
+        let mut h = fold(hash_str(self.name), SIM_RESULTS_REVISION);
         for v in [
             self.width as u64,
             self.mem_ports as u64,

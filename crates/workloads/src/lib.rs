@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 mod attacks;
-mod fnv;
 pub mod fuzz_attacks;
 mod generator;
 mod profiles;

@@ -76,8 +76,8 @@ impl WorkloadProfile {
     /// traces generated by old code.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let fold = |h: &mut u64, v: u64| *h = crate::fnv::fold(*h, v);
-        let mut h = crate::fnv::hash_str(self.name) ^ crate::generator::GENERATOR_REVISION;
+        let fold = |h: &mut u64, v: u64| *h = sb_isa::fnv::fold(*h, v);
+        let mut h = sb_isa::fnv::hash_str(self.name) ^ crate::generator::GENERATOR_REVISION;
         for f in [
             self.load_frac,
             self.store_frac,

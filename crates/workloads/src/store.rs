@@ -80,7 +80,7 @@ pub fn cache_entry_stem(name: &str, ops: usize, seed: u64, fp: u64) -> String {
         .collect();
     if sanitized != name {
         #[allow(clippy::cast_possible_truncation)]
-        let name_hash = crate::fnv::hash_str(name) as u32;
+        let name_hash = sb_isa::fnv::hash_str(name) as u32;
         sanitized.push_str(&format!("_{name_hash:08x}"));
     }
     format!("{sanitized}-{ops}-{seed:016x}-{fp:016x}")
