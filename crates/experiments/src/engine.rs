@@ -340,7 +340,7 @@ impl std::fmt::Debug for ProgressSink {
 /// Execution options for [`run_grid_with`] and [`crate::dse::run_sweep`].
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Job-layer policy: workers, deadlines, budget, retries, faults.
+    /// Job-layer policy: workers, deadlines, budget, faults.
     pub policy: JobPolicy,
     /// Read the stats store before simulating (the `--resume` path).
     /// Writes happen whenever the store is enabled, resume or not, so

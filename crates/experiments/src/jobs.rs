@@ -4,11 +4,10 @@
 //! top: per-job soft deadlines (cooperatively enforced through
 //! [`sb_uarch::CancelToken`], which the simulator core polls at
 //! cycle-batch granularity), a global wall-clock budget for the whole
-//! batch, bounded retry-with-backoff for failures classified transient,
-//! and a structured per-job failure report. One misbehaving grid point —
-//! a panicking kernel, a runaway simulation, a flaky I/O error — costs
-//! exactly that point; every surviving result is kept and every failure is
-//! named.
+//! batch, and a structured per-job failure report. Every job runs exactly
+//! once. One misbehaving grid point — a panicking kernel, a runaway
+//! simulation, a failed store write — costs exactly that point; every
+//! surviving result is kept and every failure is named.
 //!
 //! Deterministic fault injection ([`crate::faults`]) hooks in here so the
 //! whole degradation path is testable end-to-end.
@@ -24,49 +23,20 @@ pub enum JobFailure {
     /// The job panicked; the stringified payload.
     Panicked(String),
     /// The job overran its per-job soft deadline and was cooperatively
-    /// stopped. Never retried — a job that blew its deadline once would
-    /// blow it again.
+    /// stopped.
     DeadlineExceeded,
     /// The batch's global run budget expired before the job could finish
     /// (or start).
     Cancelled,
-    /// The job reported a typed error. `transient: true` requests a
-    /// bounded retry with backoff.
-    Failed {
-        /// Human-readable cause.
-        message: String,
-        /// Whether retrying might help (I/O hiccups yes, bad config no).
-        transient: bool,
-    },
+    /// The job reported a typed error; the human-readable cause.
+    Failed(String),
 }
 
 impl JobFailure {
-    /// A typed error that retrying cannot fix.
+    /// A typed error reported by the job body (e.g. a bad configuration).
     #[must_use]
     pub fn permanent(message: impl Into<String>) -> Self {
-        JobFailure::Failed {
-            message: message.into(),
-            transient: false,
-        }
-    }
-
-    /// A typed error worth a bounded retry (e.g. a transient I/O failure).
-    #[must_use]
-    pub fn transient(message: impl Into<String>) -> Self {
-        JobFailure::Failed {
-            message: message.into(),
-            transient: true,
-        }
-    }
-
-    fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            JobFailure::Failed {
-                transient: true,
-                ..
-            }
-        )
+        JobFailure::Failed(message.into())
     }
 }
 
@@ -76,14 +46,7 @@ impl std::fmt::Display for JobFailure {
             JobFailure::Panicked(m) => write!(f, "panicked: {m}"),
             JobFailure::DeadlineExceeded => write!(f, "exceeded its per-job soft deadline"),
             JobFailure::Cancelled => write!(f, "cancelled (run budget exhausted)"),
-            JobFailure::Failed {
-                message,
-                transient: true,
-            } => write!(f, "failed (transient): {message}"),
-            JobFailure::Failed {
-                message,
-                transient: false,
-            } => write!(f, "failed: {message}"),
+            JobFailure::Failed(message) => write!(f, "failed: {message}"),
         }
     }
 }
@@ -95,19 +58,13 @@ pub struct JobError {
     pub index: usize,
     /// The caller-supplied label (e.g. `mega/STT-Issue/505.mcf`).
     pub label: String,
-    /// Why it failed (the final attempt's classification).
+    /// Why it failed.
     pub cause: JobFailure,
-    /// How many attempts ran (0 when the budget expired before the first).
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "#{} {}: {}", self.index, self.label, self.cause)?;
-        if self.attempts > 1 {
-            write!(f, " [after {} attempts]", self.attempts)?;
-        }
-        Ok(())
+        write!(f, "#{} {}: {}", self.index, self.label, self.cause)
     }
 }
 
@@ -122,10 +79,6 @@ pub struct JobPolicy {
     /// Global wall-clock budget for the whole batch; once it expires,
     /// running jobs are cancelled and queued jobs never start.
     pub run_budget: Option<Duration>,
-    /// Maximum attempts for transient-classified failures (minimum 1).
-    pub max_attempts: u32,
-    /// Base backoff between retries; doubles each attempt.
-    pub backoff: Duration,
     /// Deterministic fault injection; `None` outside the test/CI harness.
     pub faults: Option<FaultPlan>,
 }
@@ -136,8 +89,6 @@ impl Default for JobPolicy {
             workers: pool::default_workers(),
             job_deadline: None,
             run_budget: None,
-            max_attempts: 3,
-            backoff: Duration::from_millis(25),
             faults: None,
         }
     }
@@ -221,56 +172,37 @@ pub fn render_failures(failures: &[JobError], total: usize) -> String {
     out
 }
 
-/// Runs one job body through the attempt loop: fault injection, budget
-/// check, retry-with-backoff. Returns the final classification plus the
-/// number of attempts that actually started.
+/// Runs one job body once: budget check, fault injection, then the body.
 fn run_one_job<T>(
     index: usize,
     policy: &JobPolicy,
     budget: &CancelToken,
     f: &(impl Fn(&JobCtx) -> Result<T, JobFailure> + Sync),
-) -> (Result<T, JobFailure>, u32) {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        if budget.is_cancelled() {
-            return (Err(JobFailure::Cancelled), attempt);
+) -> Result<T, JobFailure> {
+    if budget.is_cancelled() {
+        return Err(JobFailure::Cancelled);
+    }
+    let deadline = policy.job_deadline.map(|d| Instant::now() + d);
+    let ctx = JobCtx {
+        index,
+        cancel: budget.child(deadline),
+    };
+    if let Some(plan) = &policy.faults {
+        if plan.overruns_at(index) {
+            faults::stall_past(deadline);
         }
-        attempt += 1;
-        let deadline = policy.job_deadline.map(|d| Instant::now() + d);
-        let ctx = JobCtx {
-            index,
-            cancel: budget.child(deadline),
-        };
-        if let Some(plan) = &policy.faults {
-            if plan.overruns_at(index) {
-                faults::stall_past(deadline);
-            }
-            if plan.panics_at(index) {
-                faults::fire_panic(index);
-            }
-        }
-        match f(&ctx) {
-            Ok(t) => return (Ok(t), attempt),
-            Err(e) => {
-                let retry = e.is_transient() && attempt < max_attempts && !budget.is_cancelled();
-                if !retry {
-                    return (Err(e), attempt);
-                }
-                // Exponential backoff, capped so a large max_attempts
-                // cannot overflow the shift or stall the pool for minutes.
-                let exp = (attempt - 1).min(8);
-                std::thread::sleep(policy.backoff.saturating_mul(1 << exp));
-            }
+        if plan.panics_at(index) {
+            faults::fire_panic(index);
         }
     }
+    f(&ctx)
 }
 
 /// Runs `f` over `labels.len()` jobs under `policy`, returning every
 /// surviving result plus a complete failure report. Panics are caught
 /// (one per job, never disturbing other slots), deadlines and the batch
 /// budget are enforced cooperatively through each job's [`JobCtx::cancel`]
-/// token, and transient failures are retried with exponential backoff.
+/// token, and every job runs exactly once.
 pub fn run_batch<T, F>(labels: &[String], policy: &JobPolicy, f: F) -> BatchReport<T>
 where
     T: Send,
@@ -286,20 +218,20 @@ where
     let mut results = Vec::with_capacity(labels.len());
     let mut failures = Vec::new();
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let (slot, failure) = match outcome {
-            Ok((Ok(t), _)) => (Some(t), None),
-            Ok((Err(cause), attempts)) => (None, Some((cause, attempts))),
-            Err(p) => (None, Some((JobFailure::Panicked(p.message), 1))),
+        let cause = match outcome {
+            Ok(Ok(t)) => {
+                results.push(Some(t));
+                continue;
+            }
+            Ok(Err(cause)) => cause,
+            Err(p) => JobFailure::Panicked(p.message),
         };
-        results.push(slot);
-        if let Some((cause, attempts)) = failure {
-            failures.push(JobError {
-                index: i,
-                label: labels[i].clone(),
-                cause,
-                attempts,
-            });
-        }
+        results.push(None);
+        failures.push(JobError {
+            index: i,
+            label: labels[i].clone(),
+            cause,
+        });
     }
     BatchReport { results, failures }
 }
@@ -316,7 +248,6 @@ mod tests {
     fn quick_policy() -> JobPolicy {
         JobPolicy {
             workers: 4,
-            backoff: Duration::from_millis(1),
             ..JobPolicy::default()
         }
     }
@@ -343,7 +274,7 @@ mod tests {
         assert_eq!(report.results[2], None);
         assert_eq!(report.failures.len(), 1);
         let e = &report.failures[0];
-        assert_eq!((e.index, e.attempts), (2, 1));
+        assert_eq!(e.index, 2);
         assert_eq!(e.label, "job-2");
         assert_eq!(e.cause, JobFailure::permanent("bad config"));
         let rendered = report.render_failures();
@@ -368,38 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_until_success() {
-        let tries = AtomicU32::new(0);
-        let report = run_batch(&labels(1), &quick_policy(), |_| {
-            if tries.fetch_add(1, Ordering::Relaxed) < 2 {
-                Err(JobFailure::transient("flaky io"))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(report.ok());
-        assert_eq!(tries.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn transient_retries_are_bounded_and_counted() {
-        let tries = AtomicU32::new(0);
-        let policy = JobPolicy {
-            max_attempts: 2,
-            ..quick_policy()
-        };
-        let report = run_batch(&labels(1), &policy, |_| -> Result<(), _> {
-            tries.fetch_add(1, Ordering::Relaxed);
-            Err(JobFailure::transient("always flaky"))
-        });
-        assert_eq!(tries.load(Ordering::Relaxed), 2);
-        assert_eq!(report.failures[0].attempts, 2);
-        assert!(report.failures[0]
-            .to_string()
-            .contains("[after 2 attempts]"));
-    }
-
-    #[test]
     fn permanent_failures_are_never_retried() {
         let tries = AtomicU32::new(0);
         let report = run_batch(&labels(1), &quick_policy(), |_| -> Result<(), _> {
@@ -407,7 +306,7 @@ mod tests {
             Err(JobFailure::permanent("bad input"))
         });
         assert_eq!(tries.load(Ordering::Relaxed), 1);
-        assert_eq!(report.failures[0].attempts, 1);
+        assert_eq!(report.failures[0].cause, JobFailure::permanent("bad input"));
     }
 
     #[test]
@@ -445,7 +344,7 @@ mod tests {
         assert!(report
             .failures
             .iter()
-            .all(|e| e.cause == JobFailure::Cancelled && e.attempts == 0));
+            .all(|e| e.cause == JobFailure::Cancelled));
     }
 
     #[test]

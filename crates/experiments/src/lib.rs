@@ -3,13 +3,11 @@
 //! figure of the paper's evaluation (§8).
 //!
 //! The binary (`sb-experiments`) is a thin CLI over this library; the
-//! criterion benches in `sb-bench` reuse the same entry points at reduced
-//! trace lengths.
+//! repository benchmark (`perfbench/`) drives the same entry points.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod bench;
 pub mod dse;
 mod engine;
 pub mod faults;

@@ -1,11 +1,10 @@
 //! `sb-experiments`: regenerate every table and figure of the paper,
-//! benchmark the simulator itself, or verify the security property.
+//! explore the design space, or verify the security property.
 //!
 //! ```text
 //! sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
 //!                [EXPERIMENT...]
-//! sb-experiments bench [--ops N] [--seed S] [--bench-json PATH]
 //! sb-experiments verify-security [--out DIR] [--threat-model spectre|futuristic|both]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
 //! sb-experiments analyze-security [--out DIR] [--threat-model spectre|futuristic|both]
@@ -37,15 +36,11 @@
 //! `--job-deadline`, or is cancelled by the global `--run-budget` becomes
 //! a line in the failure report (`N of M jobs failed: #i label: cause`)
 //! while every other job's result is kept; the affected reports are
-//! skipped with a per-report error and the process exits 1. Transient
-//! failures retry with bounded backoff. `--inject-faults
-//! panic@I,overrun@I,corrupt-stats@I` (or the `SB_FAULT_INJECT`
-//! environment variable; the flag wins) deterministically injects faults
-//! at job index I to exercise exactly that machinery.
-//!
-//! `bench` measures simulated-ops/sec for every (config × scheme) point on
-//! both schedulers plus full-grid wall clock, and writes `BENCH_core.json`
-//! (default path `BENCH_core.json`; override with `--bench-json`).
+//! skipped with a per-report error and the process exits 1. Every job runs
+//! exactly once. `--inject-faults panic@I,overrun@I,corrupt-stats@I` (or
+//! the `SB_FAULT_INJECT` environment variable; the flag wins)
+//! deterministically injects faults at job index I to exercise exactly
+//! that machinery.
 //!
 //! `verify-security` runs the transient-leak attack battery (Spectre v1,
 //! v1 with prefetcher amplification, speculative store bypass, a
@@ -82,7 +77,6 @@
 //! byte for byte.
 
 use sb_core::{Scheme, ThreatModel};
-use sb_experiments::bench::{run_core_bench, BenchOptions};
 use sb_experiments::dse::{
     leaderboard, leaderboard_csv, leaderboard_table, manifest_json, parse_manifest, run_sweep,
     SweepSpec,
@@ -107,14 +101,13 @@ const EXPERIMENT_NAMES: &[&str] = &[
 ];
 
 /// Subcommands: run alone, with their own flag sets.
-const SUBCOMMANDS: &[&str] = &["bench", "verify-security", "analyze-security", "sweep"];
+const SUBCOMMANDS: &[&str] = &["verify-security", "analyze-security", "sweep"];
 
 const USAGE: &str =
     "usage: sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      \x20                     [EXPERIMENT...]\n\
      experiments: table1 fig1 fig6 fig7 fig8 fig9 fig10 table3 table4 table5 sec92 security all\n\
-     or: sb-experiments bench [--ops N] [--seed S] [--bench-json PATH]\n\
      or: sb-experiments verify-security [--out DIR] [--threat-model spectre|futuristic|both]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      or: sb-experiments analyze-security [--out DIR] [--threat-model spectre|futuristic|both]\n\
@@ -135,9 +128,7 @@ const USAGE: &str =
 #[derive(Debug)]
 struct Args {
     spec: RunSpec,
-    ops_overridden: bool,
     out: PathBuf,
-    bench_json: PathBuf,
     experiments: Vec<String>,
     threat_models: Vec<ThreatModel>,
     sweep_spec: Option<String>,
@@ -189,9 +180,7 @@ fn secs_value(flag: &str, value: Option<String>) -> Result<Duration, String> {
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut spec = RunSpec::default();
-    let mut ops_overridden = false;
     let mut out = PathBuf::from("results");
-    let mut bench_json = PathBuf::from("BENCH_core.json");
     let mut experiments = Vec::new();
     let mut threat_models = ThreatModel::all().to_vec();
     let mut sweep_spec = None;
@@ -211,7 +200,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         match a.as_str() {
             "--ops" => {
                 spec.ops = flag_value("--ops", it.next())?;
-                ops_overridden = true;
                 flags_given.push("--ops");
             }
             "--seed" => {
@@ -221,10 +209,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => {
                 out = PathBuf::from(it.next().ok_or("--out requires a value")?);
                 flags_given.push("--out");
-            }
-            "--bench-json" => {
-                bench_json = PathBuf::from(it.next().ok_or("--bench-json requires a value")?);
-                flags_given.push("--bench-json");
             }
             "--threat-model" => {
                 threat_models = parse_threat_models(it.next())?;
@@ -303,7 +287,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if experiments.is_empty() {
         experiments.push("all".to_string());
     }
-    // A subcommand runs alone and accepts only its own flags: `bench
+    // A subcommand runs alone and accepts only its own flags: `sweep
     // table1` would silently drop table1, and `verify-security --ops N`
     // would silently ignore --ops — both violate the same
     // no-silent-defaults contract as flag typos.
@@ -319,8 +303,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             ));
         }
         let accepted: &[&str] = match sub {
-            // bench measures raw throughput: no job layer, no store.
-            "bench" => &["--ops", "--seed", "--bench-json"],
             // sweep has the full grid machinery: job layer, both caches,
             // resume — plus its own spec/manifest/top flags.
             "sweep" => &[
@@ -367,7 +349,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     {
         for (flag, owner) in [
             ("--threat-model", "verify-security"),
-            ("--bench-json", "bench"),
             ("--spec", "sweep"),
             ("--from-manifest", "sweep"),
             ("--top", "sweep"),
@@ -418,9 +399,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     }
     Ok(Args {
         spec,
-        ops_overridden,
         out,
-        bench_json,
         experiments,
         threat_models,
         sweep_spec,
@@ -451,25 +430,6 @@ fn job_policy(args: &Args) -> Result<JobPolicy, String> {
         faults,
         ..JobPolicy::default()
     })
-}
-
-/// The `bench` subcommand: core throughput + grid wall-clock comparison.
-fn run_bench_command(args: &Args) {
-    let mut opts = BenchOptions {
-        seed: args.spec.seed,
-        ..BenchOptions::default()
-    };
-    if args.ops_overridden {
-        opts.ops = args.spec.ops;
-    }
-    eprintln!(
-        "benchmarking core throughput: 4 configs x 4 schemes x {} uops (+ reference comparison)...",
-        opts.ops
-    );
-    let report = run_core_bench(&opts);
-    print!("{}", report.summary());
-    std::fs::write(&args.bench_json, report.to_json()).expect("write bench json");
-    eprintln!("wrote {}", args.bench_json.display());
 }
 
 /// The `verify-security` subcommand: leak matrix + hard verdict.
@@ -717,10 +677,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.experiments.iter().any(|e| e == "bench") {
-        run_bench_command(&args);
-        return;
-    }
     if args.experiments.iter().any(|e| e == "verify-security") {
         run_verify_security(&args, &policy);
         return;
@@ -843,7 +799,6 @@ mod tests {
     fn defaults_run_all_experiments() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.experiments, vec!["all"]);
-        assert!(!a.ops_overridden);
         assert_eq!(a.out, PathBuf::from("results"));
     }
 
@@ -851,7 +806,6 @@ mod tests {
     fn valid_flags_parse() {
         let a = parse(&["--ops", "5000", "--seed", "9", "--out", "/tmp/x", "table1"]).unwrap();
         assert_eq!(a.spec.ops, 5000);
-        assert!(a.ops_overridden);
         assert_eq!(a.spec.seed, 9);
         assert_eq!(a.out, PathBuf::from("/tmp/x"));
         assert_eq!(a.experiments, vec!["table1"]);
@@ -901,18 +855,23 @@ mod tests {
         // must not be swallowed as an experiment name.
         let err = parse(&["table1", "import", "trace.sbtr"]).unwrap_err();
         assert!(err.contains("'import' must be the first argument"), "{err}");
-        for word in ["serve", "submit"] {
+        for word in ["serve", "submit", "bench"] {
             let err = parse(&[word]).unwrap_err();
             assert!(
                 err.contains(&format!("unknown experiment '{word}'")),
                 "{err}"
             );
         }
+        let err = parse(&["--bench-json", "/tmp/b.json"]).unwrap_err();
+        assert!(err.contains("unknown flag --bench-json"), "{err}");
     }
 
     #[test]
     fn subcommands_are_recognized() {
-        assert_eq!(parse(&["bench"]).unwrap().experiments, vec!["bench"]);
+        assert_eq!(
+            parse(&["analyze-security"]).unwrap().experiments,
+            vec!["analyze-security"]
+        );
         assert_eq!(
             parse(&["verify-security"]).unwrap().experiments,
             vec!["verify-security"]
@@ -938,8 +897,8 @@ mod tests {
             err.contains("verify-security") && err.contains("table1"),
             "{err}"
         );
-        let err = parse(&["bench", "table1"]).unwrap_err();
-        assert!(err.contains("bench"), "{err}");
+        let err = parse(&["analyze-security", "table1"]).unwrap_err();
+        assert!(err.contains("analyze-security"), "{err}");
     }
 
     #[test]
@@ -953,12 +912,15 @@ mod tests {
         );
         let err = parse(&["--seed", "7", "verify-security"]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        // bench writes --bench-json, not --out.
-        let err = parse(&["bench", "--out", "/tmp/x"]).unwrap_err();
-        assert!(err.contains("--out") && err.contains("bench"), "{err}");
+        // verify-security never reads a workload trace.
+        let err = parse(&["verify-security", "--no-trace-cache"]).unwrap_err();
+        assert!(
+            err.contains("--no-trace-cache") && err.contains("verify-security"),
+            "{err}"
+        );
         // Each subcommand's own flags still parse.
         assert!(parse(&["verify-security", "--out", "/tmp/x"]).is_ok());
-        assert!(parse(&["bench", "--ops", "4000", "--bench-json", "/tmp/b.json"]).is_ok());
+        assert!(parse(&["sweep", "--spec", "base=mega", "--ops", "4000"]).is_ok());
     }
 
     #[test]
@@ -1058,9 +1020,9 @@ mod tests {
 
     #[test]
     fn threat_model_flag_is_rejected_outside_verify_security() {
-        let err = parse(&["bench", "--threat-model", "both"]).unwrap_err();
+        let err = parse(&["sweep", "--spec", "base=mega", "--threat-model", "both"]).unwrap_err();
         assert!(
-            err.contains("--threat-model") && err.contains("bench"),
+            err.contains("--threat-model") && err.contains("sweep"),
             "{err}"
         );
         // Regression: plain experiment runs used to swallow the flag
@@ -1069,11 +1031,6 @@ mod tests {
         let err = parse(&["security", "--threat-model", "futuristic"]).unwrap_err();
         assert!(
             err.contains("--threat-model") && err.contains("verify-security"),
-            "{err}"
-        );
-        let err = parse(&["table1", "--bench-json", "/tmp/b.json"]).unwrap_err();
-        assert!(
-            err.contains("--bench-json") && err.contains("bench"),
             "{err}"
         );
     }
@@ -1137,10 +1094,10 @@ mod tests {
             "panic@0"
         ])
         .is_ok());
-        // bench has neither job layer nor store.
-        let err = parse(&["bench", "--inject-faults", "panic@0"]).unwrap_err();
+        // analyze-security has neither job layer nor store.
+        let err = parse(&["analyze-security", "--inject-faults", "panic@0"]).unwrap_err();
         assert!(
-            err.contains("--inject-faults") && err.contains("bench"),
+            err.contains("--inject-faults") && err.contains("analyze-security"),
             "{err}"
         );
         // --resume reads the stats store, which only the grid has.
@@ -1149,7 +1106,7 @@ mod tests {
             err.contains("--resume") && err.contains("verify-security"),
             "{err}"
         );
-        let err = parse(&["bench", "--resume"]).unwrap_err();
+        let err = parse(&["analyze-security", "--resume"]).unwrap_err();
         assert!(err.contains("--resume"), "{err}");
     }
 
@@ -1217,13 +1174,11 @@ mod tests {
         assert!(err.contains("--spec") && err.contains("sweep"), "{err}");
         let err = parse(&["--top", "5"]).unwrap_err();
         assert!(err.contains("--top") && err.contains("sweep"), "{err}");
-        let err = parse(&["bench", "--from-manifest", "/tmp/m.json"]).unwrap_err();
+        let err = parse(&["verify-security", "--from-manifest", "/tmp/m.json"]).unwrap_err();
         assert!(err.contains("--from-manifest"), "{err}");
         // And sweep rejects flags it would silently ignore.
         let err = parse(&["sweep", "--spec", "base=mega", "--threat-model", "both"]).unwrap_err();
         assert!(err.contains("--threat-model"), "{err}");
-        let err = parse(&["sweep", "--spec", "base=mega", "--bench-json", "/tmp/b"]).unwrap_err();
-        assert!(err.contains("--bench-json"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! `Result` per slot naming the failing job's index;
 //! [`run_indexed`] keeps the historical propagate-first-panic contract on
 //! top of it (and now names the job index in the propagated message).
-//! The structured fault handling (deadlines, retries, failure reports)
+//! The structured fault handling (deadlines, budget, failure reports)
 //! lives one layer up in [`crate::jobs`].
 
 use std::any::Any;

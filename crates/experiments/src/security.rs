@@ -314,7 +314,7 @@ pub fn verify_security(threat_models: &[ThreatModel]) -> SecurityVerdict {
 
 /// Runs the battery on the fault-tolerant job pool: each cell is one job
 /// (labelled `model/scenario/scheme`), panic-isolated and subject to the
-/// policy's deadlines, budget, retries, and fault plan. Failed cells are
+/// policy's deadlines, budget and fault plan. Failed cells are
 /// dropped from [`SecurityVerdict::cells`] and reported in
 /// [`SecurityVerdict::job_failures`]; `ok` requires both a clean run and
 /// all-pass verdicts.

@@ -1,8 +1,9 @@
 //! Property tests for the fault-tolerant job layer (via the offline
-//! proptest shim): arbitrary mixes of succeeding, panicking, failing,
-//! flaky and slow jobs must never deadlock the pool, never disturb a
-//! neighboring slot, and always produce an index-aligned batch report
-//! whose failure list is exactly the complement of the surviving results.
+//! proptest shim): arbitrary mixes of succeeding, panicking, failing and
+//! slow jobs must never deadlock the pool, never disturb a neighboring
+//! slot, run every job exactly once, and always produce an index-aligned
+//! batch report whose failure list is exactly the complement of the
+//! surviving results.
 //!
 //! Regression context: a single panicking job used to poison its result
 //! slot and abort collection of the whole batch ("result slot poisoned"),
@@ -20,19 +21,13 @@ enum Behavior {
     Ok,
     Panic,
     Permanent,
-    /// Fails transient forever (retries must be bounded).
-    FlakyForever,
-    /// Fails transient on the first attempt, then succeeds.
-    FlakyOnce,
 }
 
 fn behavior_from(draw: u8) -> Behavior {
-    match draw % 5 {
+    match draw % 3 {
         0 => Behavior::Ok,
         1 => Behavior::Panic,
-        2 => Behavior::Permanent,
-        3 => Behavior::FlakyForever,
-        _ => Behavior::FlakyOnce,
+        _ => Behavior::Permanent,
     }
 }
 
@@ -65,15 +60,12 @@ proptest! {
 
     /// Structured layer: for any behavior mix, `results[i]` is `Some`
     /// exactly when no failure names index `i`, failures arrive in index
-    /// order with the right classification, and the retry loop runs the
-    /// documented number of attempts (1 for panics and permanent errors,
-    /// `max_attempts` for jobs that never stop flaking, 2 for jobs that
-    /// flake once).
+    /// order with the right classification, and every job body runs
+    /// exactly once.
     #[test]
     fn any_behavior_mix_yields_an_aligned_report(
         draws in prop::collection::vec(0u8..255, 1..32),
         workers in 1usize..9,
-        max_attempts in 1u32..5,
     ) {
         let behaviors: Vec<Behavior> = draws.iter().map(|&d| behavior_from(d)).collect();
         let n = behaviors.len();
@@ -81,19 +73,14 @@ proptest! {
         let labels: Vec<String> = (0..n).map(|i| format!("job-{i}")).collect();
         let policy = JobPolicy {
             workers,
-            max_attempts,
-            backoff: Duration::from_micros(10),
             ..JobPolicy::default()
         };
         let report = run_batch(&labels, &policy, |ctx| {
-            let attempt = tries[ctx.index].fetch_add(1, Ordering::Relaxed);
+            tries[ctx.index].fetch_add(1, Ordering::Relaxed);
             match behaviors[ctx.index] {
                 Behavior::Ok => Ok(ctx.index),
                 Behavior::Panic => panic!("boom at {}", ctx.index),
                 Behavior::Permanent => Err(JobFailure::permanent("bad point")),
-                Behavior::FlakyForever => Err(JobFailure::transient("flaky io")),
-                Behavior::FlakyOnce if attempt == 0 => Err(JobFailure::transient("flaky io")),
-                Behavior::FlakyOnce => Ok(ctx.index),
             }
         });
 
@@ -109,12 +96,11 @@ proptest! {
         }
 
         for (i, &b) in behaviors.iter().enumerate() {
-            let ran = tries[i].load(Ordering::Relaxed);
+            prop_assert_eq!(tries[i].load(Ordering::Relaxed), 1, "every job runs exactly once");
             let failure = report.failures.iter().find(|e| e.index == i);
             match b {
                 Behavior::Ok => {
                     prop_assert_eq!(report.results[i], Some(i));
-                    prop_assert_eq!(ran, 1);
                 }
                 Behavior::Panic => {
                     let e = failure.expect("panic must be reported");
@@ -122,27 +108,10 @@ proptest! {
                         matches!(&e.cause, JobFailure::Panicked(m) if m.contains("boom")),
                         "{:?}", e.cause
                     );
-                    prop_assert_eq!((e.attempts, ran), (1, 1), "panics are never retried");
                 }
                 Behavior::Permanent => {
                     let e = failure.expect("permanent failure must be reported");
                     prop_assert_eq!(&e.cause, &JobFailure::permanent("bad point"));
-                    prop_assert_eq!((e.attempts, ran), (1, 1));
-                }
-                Behavior::FlakyForever => {
-                    let e = failure.expect("exhausted retries must be reported");
-                    prop_assert_eq!(&e.cause, &JobFailure::transient("flaky io"));
-                    prop_assert_eq!(e.attempts, max_attempts);
-                    prop_assert_eq!(ran, max_attempts);
-                }
-                Behavior::FlakyOnce => {
-                    if max_attempts >= 2 {
-                        prop_assert_eq!(report.results[i], Some(i), "one retry heals it");
-                        prop_assert_eq!(ran, 2);
-                    } else {
-                        prop_assert!(failure.is_some(), "no retry budget to heal");
-                        prop_assert_eq!(ran, 1);
-                    }
                 }
             }
         }
@@ -164,8 +133,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Slow (cooperatively polling) jobs blow the per-job deadline and are
-    /// classified `DeadlineExceeded` without retry; fast jobs in the same
-    /// batch survive untouched.
+    /// classified `DeadlineExceeded`; fast jobs in the same batch survive
+    /// untouched.
     #[test]
     fn slow_jobs_hit_deadlines_without_dragging_fast_ones(
         slow_mask in prop::collection::vec(any::<bool>(), 1..8),
@@ -176,7 +145,6 @@ proptest! {
         let policy = JobPolicy {
             workers,
             job_deadline: Some(Duration::from_millis(5)),
-            backoff: Duration::from_micros(10),
             ..JobPolicy::default()
         };
         let report = run_batch(&labels, &policy, |ctx| {
@@ -194,7 +162,6 @@ proptest! {
             if slow {
                 let e = report.failures.iter().find(|e| e.index == i).expect("reported");
                 prop_assert_eq!(&e.cause, &JobFailure::DeadlineExceeded);
-                prop_assert_eq!(e.attempts, 1, "deadline overruns are never retried");
             } else {
                 prop_assert_eq!(report.results[i], Some(i));
             }

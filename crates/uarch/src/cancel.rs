@@ -6,8 +6,8 @@
 //! enough that a deadline or an explicit cancel stops a runaway
 //! simulation within milliseconds, rarely enough that the poll (one
 //! relaxed atomic load, plus one clock read when a deadline is armed)
-//! costs nothing measurable (guarded by the `runner` section of
-//! `BENCH_core.json`).
+//! costs nothing measurable (the repository benchmark reports the whole
+//! guarded job path's share as `experiments.jobs.guard_cost_frac`).
 //!
 //! Tokens form a chain: a child created with [`CancelToken::child`]
 //! observes its parent's cancellation in addition to its own flag and

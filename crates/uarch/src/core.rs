@@ -49,17 +49,13 @@
 //! through a stale reference. See `docs/ARCHITECTURE.md` for the
 //! field-by-field split and the measured effect.
 //!
-//! Measured on this repository's `BENCH_core.json` emitter
-//! (`cargo run -p sb-experiments --release -- bench`, single shared CPU,
-//! Mega × STT-Issue): the event wheel simulates ≈2.2× more micro-ops
-//! per second than the reference scheduler on compute-bound profiles
-//! (gcc/imagick-like, where shared per-op costs dominate; ≈1.9× before
-//! the hot/cold split — against the *pre-split* reference the wheel is
-//! now ≈2.6–2.7×) and ≈4× on memory-bound profiles where the ROB stays
-//! full (mcf-like). The split sped the reference scheduler up too (≈1.3×:
-//! its full-ROB scans stream 64-byte records instead of ~200-byte
-//! structs), so the wheel-vs-reference ratio understates the absolute
-//! win: the wheel itself got ≈1.35× faster on gcc-like profiles.
+//! When the split was made (single shared CPU, Mega × STT-Issue), the
+//! event wheel simulated ≈2.2× more micro-ops per second than the
+//! reference scheduler on compute-bound profiles (gcc/imagick-like) and
+//! ≈4× on memory-bound profiles where the ROB stays full (mcf-like); the
+//! wheel itself got ≈1.35× faster on gcc-like profiles. The repository
+//! benchmark (`perfbench/`, see `BENCHMARK.json`) tracks the per-op cost
+//! of every core size as `uarch.ns_per_op.{small,medium,large,mega}`.
 //!
 //! # Modelled behaviours
 //!
