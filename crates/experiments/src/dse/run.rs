@@ -1,6 +1,6 @@
 //! Sweep execution: every `(config, scheme, threat) × replicate ×
-//! benchmark` job flattened over the fault-tolerant pool, memoized in the
-//! stats store.
+//! benchmark` job flattened into one list and run by the grid's memoized
+//! point runner (`engine::run_points`).
 //!
 //! The memo key covers *every* swept axis: the configuration fingerprint
 //! (all result-determining knobs), the scheme and threat-model tags, and
@@ -9,15 +9,13 @@
 //! design points share their cache entries.
 
 use super::spec::{SpecError, SweepPoint, SweepSpec};
-use crate::engine::{bench_seed, bench_trace, run_scheme_cfg_cancellable, RunReport, RunSpec};
-use crate::jobs;
+use crate::engine::{bench_seed, run_points, PointJob, RunReport, RunSpec, TraceSlot};
 use crate::stats_store::{combine_fp, tag_fp};
 use crate::RunOptions;
-use sb_core::{Scheme, SchemeConfig, ThreatModel};
+use sb_core::{Scheme, ThreatModel};
 use sb_stats::BenchResult;
-use sb_uarch::{CoreConfig, Fidelity};
+use sb_uarch::CoreConfig;
 use sb_workloads::spec2017_profiles;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Golden-ratio stride that spreads replicate seeds across the u64 space;
 /// replicate 0 keeps the base seed, so a 1-replicate sweep is seeded
@@ -97,129 +95,67 @@ pub fn run_sweep(
     let reps = spec.replicates();
     let profiles = spec2017_profiles();
     let n_b = profiles.len();
-    let jobs_n = points.len() * reps * n_b;
-    // Per-replicate run specs: replicate seeds are derived, everything
-    // else matches the base run.
-    let rep_specs: Vec<RunSpec> = (0..reps)
-        .map(|r| RunSpec {
-            ops: run.ops,
-            seed: replicate_seed(run.seed, r),
-        })
-        .collect();
-    let decompose = |k: usize| -> (usize, usize, usize) {
-        // k = (i * reps + r) * n_b + b
-        (k / (reps * n_b), (k / n_b) % reps, k % n_b)
-    };
-    let labels: Vec<String> = (0..jobs_n)
-        .map(|k| {
-            let (i, r, b) = decompose(k);
-            let p = &points[i];
-            format!(
-                "{}/{}/{}/r{r}/{}",
-                p.config.name,
-                p.scheme,
-                p.threat.label(),
-                profiles[b].name
-            )
-        })
-        .collect();
-    let keys: Vec<(u64, u64)> = (0..jobs_n)
-        .map(|k| {
-            let (i, r, b) = decompose(k);
-            let p = &points[i];
-            let profile = &profiles[b];
-            let fp = combine_fp([
-                p.config.fingerprint(),
-                tag_fp(&p.scheme.to_string()),
-                tag_fp(&p.threat.to_string()),
-                profile.fingerprint(),
-            ]);
-            (bench_seed(profile, &rep_specs[r]), fp)
-        })
-        .collect();
-    // Traces depend on (replicate, benchmark) only — share one slot per
-    // pair across all design points; a fully-cached resume generates none.
-    let traces: Vec<std::sync::OnceLock<sb_isa::Trace>> = (0..reps * n_b)
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-    let simulated = AtomicUsize::new(0);
-    let from_cache = AtomicUsize::new(0);
-    // Same progress contract as the grid runner: one event per settled
-    // point, failures emit nothing.
-    let settled = AtomicUsize::new(0);
-    let settle = |counter: &AtomicUsize| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(sink) = &opts.progress {
-            sink.report(k, jobs_n);
-        }
-    };
-    let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
-        let k = ctx.index;
-        let (i, r, b) = decompose(k);
-        let p = &points[i];
-        let profile = &profiles[b];
-        let (seed, fp) = keys[k];
-        if opts.resume {
-            if let Some(store) = &opts.store {
-                if let Some(stats) = store.load(profile.name, run.ops, seed, fp) {
-                    settle(&from_cache);
-                    return Ok(BenchResult::new(
-                        profile.name,
-                        stats.committed.get(),
-                        stats.cycles.get(),
-                    ));
-                }
-            }
-        }
-        let trace = traces[r * n_b + b]
-            .get_or_init(|| bench_trace(profile, &rep_specs[r]))
-            .clone();
-        let scheme_cfg = match p.config.fidelity {
-            Fidelity::Rtl => SchemeConfig::rtl(p.scheme, p.config.mem_ports),
-            Fidelity::Abstract => SchemeConfig::abstract_sim(p.scheme),
-        }
-        .with_threat_model(p.threat);
-        let (row, stats) = run_scheme_cfg_cancellable(&p.config, scheme_cfg, profile, trace, ctx)?;
-        settle(&simulated);
-        if let Some(store) = &opts.store {
-            if let Ok(path) = store.save(profile.name, run.ops, seed, fp, &stats) {
-                if let Some(plan) = &opts.policy.faults {
-                    if plan.corrupts_stats_at(k) {
-                        let _ = crate::faults::corrupt_file(&path);
-                    }
-                }
-            }
-        }
-        Ok(row)
-    });
-    let mut out = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        let replicates: Vec<Vec<BenchResult>> = (0..reps)
-            .map(|r| {
-                let start = (i * reps + r) * n_b;
-                report.results[start..start + n_b]
-                    .iter()
-                    .filter_map(Clone::clone)
-                    .collect()
+    // Traces depend on (replicate, benchmark) only — one slot per pair,
+    // shared across all design points. Replicate seeds are derived,
+    // everything else matches the base run.
+    let slots: Vec<TraceSlot> = (0..reps)
+        .flat_map(|r| {
+            let rep = RunSpec {
+                ops: run.ops,
+                seed: replicate_seed(run.seed, r),
+            };
+            profiles.iter().map(move |profile| TraceSlot {
+                profile,
+                seed: bench_seed(profile, &rep),
             })
-            .collect();
-        out.push(PointResult {
+        })
+        .collect();
+    // Job k = (i * reps + r) * n_b + b.
+    let mut labels = Vec::with_capacity(points.len() * reps * n_b);
+    let mut batch = Vec::with_capacity(labels.capacity());
+    for p in &points {
+        let scheme = p.config.scheme_config(p.scheme).with_threat_model(p.threat);
+        for r in 0..reps {
+            for (b, profile) in profiles.iter().enumerate() {
+                labels.push(format!(
+                    "{}/{}/{}/r{r}/{}",
+                    p.config.name,
+                    p.scheme,
+                    p.threat.label(),
+                    profile.name
+                ));
+                batch.push(PointJob {
+                    config: &p.config,
+                    scheme,
+                    slot: r * n_b + b,
+                    fp: combine_fp([
+                        p.config.fingerprint(),
+                        tag_fp(&p.scheme.to_string()),
+                        tag_fp(&p.threat.to_string()),
+                        profile.fingerprint(),
+                    ]),
+                });
+            }
+        }
+    }
+    let (results, report) = run_points(&labels, &batch, &slots, run.ops, opts);
+    let out = points
+        .iter()
+        .zip(results.chunks(reps * n_b))
+        .map(|(p, rows)| PointResult {
             config: p.config.clone(),
             scheme: p.scheme,
             threat: p.threat,
             fingerprint: point_fingerprint(&p.config, p.scheme, p.threat),
-            replicates,
-        });
-    }
+            replicates: rows
+                .chunks(n_b)
+                .map(|rep| rep.iter().filter_map(Clone::clone).collect())
+                .collect(),
+        })
+        .collect();
     Ok(SweepOutcome {
         points: out,
-        report: RunReport {
-            simulated: simulated.into_inner(),
-            from_cache: from_cache.into_inner(),
-            total: jobs_n,
-            failures: report.failures,
-        },
+        report,
         benchmarks: n_b,
     })
 }

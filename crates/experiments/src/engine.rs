@@ -1,9 +1,12 @@
 //! The run grid: simulate every (config, scheme, benchmark) point, with
-//! deterministic seeding, over the fault-tolerant job layer.
+//! deterministic seeding, over the fault-tolerant job layer — and the one
+//! memoized point runner the grid and the design-space sweep share.
 //!
 //! All grid points are flattened into one job list (configs × schemes ×
 //! benchmarks) so the pool stays saturated end-to-end instead of
-//! serializing on (config, scheme) suite boundaries. Each point runs as a
+//! serializing on (config, scheme) suite boundaries. [`run_grid_with`]
+//! and [`crate::dse::run_sweep`] only build their jobs, labels and
+//! stats-store keys; `run_points` runs them. Each point runs as a
 //! [`crate::jobs`] job: panics are isolated, per-job deadlines and the
 //! global run budget are enforced cooperatively through the core's cancel
 //! token, and every completed point's `SimStats` is persisted to the
@@ -13,13 +16,14 @@
 use crate::jobs::{self, JobCtx, JobError, JobFailure, JobPolicy};
 use crate::pool;
 use crate::stats_store::{combine_fp, tag_fp, StatsStore};
-use sb_core::Scheme;
+use sb_core::{Scheme, SchemeConfig};
+use sb_isa::Trace;
 use sb_stats::{BenchResult, SimStats, SuiteSummary};
 use sb_uarch::{Core, CoreConfig};
 use sb_workloads::{cached_generate, spec2017_profiles, WorkloadProfile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Safety valve: no benchmark may run longer than this many cycles.
 const MAX_CYCLES: u64 = 400_000_000;
@@ -168,59 +172,6 @@ pub fn run_bench_on_trace(
         BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get()),
         stats,
     )
-}
-
-/// The cancellation-aware grid job body: runs one point under the job's
-/// cancel token, classifying interruption (deadline vs budget) and
-/// non-termination as typed failures instead of panicking.
-fn run_bench_cancellable(
-    config: &CoreConfig,
-    scheme: Scheme,
-    profile: &WorkloadProfile,
-    trace: sb_isa::Trace,
-    ctx: &JobCtx,
-) -> Result<(BenchResult, SimStats), JobFailure> {
-    let core = Core::with_scheme(config.clone(), scheme, trace);
-    finish_cancellable(core, config, profile, ctx)
-}
-
-/// [`run_bench_cancellable`] with an explicit scheme configuration — the
-/// sweep's job body, where the threat model is an axis rather than the
-/// fidelity-derived default.
-pub(crate) fn run_scheme_cfg_cancellable(
-    config: &CoreConfig,
-    scheme_cfg: sb_core::SchemeConfig,
-    profile: &WorkloadProfile,
-    trace: sb_isa::Trace,
-    ctx: &JobCtx,
-) -> Result<(BenchResult, SimStats), JobFailure> {
-    let core = Core::new(config.clone(), scheme_cfg, trace);
-    finish_cancellable(core, config, profile, ctx)
-}
-
-fn finish_cancellable(
-    mut core: Core,
-    config: &CoreConfig,
-    profile: &WorkloadProfile,
-    ctx: &JobCtx,
-) -> Result<(BenchResult, SimStats), JobFailure> {
-    let scheme = core.scheme();
-    core.set_cancel_token(ctx.cancel.clone());
-    core.run(MAX_CYCLES);
-    if core.interrupted() {
-        return Err(ctx.interruption());
-    }
-    if !core.is_done() {
-        return Err(JobFailure::permanent(format!(
-            "{} on {} ({scheme}) did not finish within {MAX_CYCLES} cycles",
-            profile.name, config.name
-        )));
-    }
-    let stats = core.stats().clone();
-    Ok((
-        BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get()),
-        stats,
-    ))
 }
 
 /// Runs the full 22-benchmark suite on one (config, scheme) point over the
@@ -392,99 +343,159 @@ impl RunReport {
     }
 }
 
+/// One job of a memoized batch: a core and scheme configuration run on
+/// one of the batch's shared traces, keyed in the stats store by that
+/// trace's seed and `fp`.
+pub(crate) struct PointJob<'a> {
+    pub config: &'a CoreConfig,
+    pub scheme: SchemeConfig,
+    /// Index into the batch's trace slots.
+    pub slot: usize,
+    /// Stats-store fingerprint of everything but `(benchmark, ops, seed)`.
+    pub fp: u64,
+}
+
+/// A trace shared by every job that names it: `profile` at `seed`.
+pub(crate) struct TraceSlot<'a> {
+    pub profile: &'a WorkloadProfile,
+    pub seed: u64,
+}
+
+/// The memoized point runner behind [`run_grid_with`] and
+/// [`crate::dse::run_sweep`]: runs every job over the fault-tolerant job
+/// layer, serving it from the stats store on `--resume`, otherwise
+/// simulating it and saving its `SimStats`. Returns one row per job (in
+/// job order; `None` for failed jobs) and the run report.
+pub(crate) fn run_points(
+    labels: &[String],
+    batch: &[PointJob<'_>],
+    slots: &[TraceSlot<'_>],
+    ops: usize,
+    opts: &RunOptions,
+) -> (Vec<Option<BenchResult>>, RunReport) {
+    // Generate each slot's trace once, on first use, and clone it per run
+    // (a memcpy, far cheaper than regeneration). On a fully-cached resume
+    // every slot stays empty and zero traces are generated.
+    let traces: Vec<OnceLock<Trace>> = slots.iter().map(|_| OnceLock::new()).collect();
+    let simulated = AtomicUsize::new(0);
+    let from_cache = AtomicUsize::new(0);
+    // Failed points never settle, so progress is monotone but may end
+    // short of the job count on a degraded run.
+    let settled = AtomicUsize::new(0);
+    let settle = |counter: &AtomicUsize| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(sink) = &opts.progress {
+            sink.report(k, batch.len());
+        }
+    };
+    let report = jobs::run_batch(labels, &opts.policy, |ctx| {
+        let job = &batch[ctx.index];
+        let TraceSlot { profile, seed } = slots[job.slot];
+        let row = |stats: &SimStats| {
+            BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get())
+        };
+        if opts.resume {
+            if let Some(store) = &opts.store {
+                if let Some(stats) = store.load(profile.name, ops, seed, job.fp) {
+                    settle(&from_cache);
+                    return Ok(row(&stats));
+                }
+            }
+        }
+        let trace = traces[job.slot]
+            .get_or_init(|| cached_generate(profile, ops, seed))
+            .clone();
+        let stats = simulate(job.config, job.scheme, profile.name, trace, ctx)?;
+        settle(&simulated);
+        if let Some(store) = &opts.store {
+            // A failed save is a cache bypass, never a run failure.
+            if let Ok(path) = store.save(profile.name, ops, seed, job.fp, &stats) {
+                if let Some(plan) = &opts.policy.faults {
+                    if plan.corrupts_stats_at(ctx.index) {
+                        let _ = crate::faults::corrupt_file(&path);
+                    }
+                }
+            }
+        }
+        Ok(row(&stats))
+    });
+    let run_report = RunReport {
+        simulated: simulated.into_inner(),
+        from_cache: from_cache.into_inner(),
+        total: batch.len(),
+        failures: report.failures,
+    };
+    (report.results, run_report)
+}
+
+/// The job body: runs one point under the job's cancel token, classifying
+/// interruption (deadline vs budget) and non-termination as typed failures
+/// instead of panicking.
+fn simulate(
+    config: &CoreConfig,
+    scheme: SchemeConfig,
+    name: &str,
+    trace: Trace,
+    ctx: &JobCtx,
+) -> Result<SimStats, JobFailure> {
+    let mut core = Core::new(config.clone(), scheme, trace);
+    core.set_cancel_token(ctx.cancel.clone());
+    core.run(MAX_CYCLES);
+    if core.interrupted() {
+        return Err(ctx.interruption());
+    }
+    if !core.is_done() {
+        return Err(JobFailure::permanent(format!(
+            "{name} on {} ({}) did not finish within {MAX_CYCLES} cycles",
+            config.name, scheme.scheme
+        )));
+    }
+    Ok(core.stats().clone())
+}
+
 /// Runs the whole grid under explicit execution options: every scheme on
-/// every given configuration, flattened into one job list over the
-/// fault-tolerant job layer. Returns the (possibly partial) grid plus a
-/// run report of cache hits, simulations, and per-job failures.
+/// every given configuration, flattened into one job list run by the
+/// memoized point runner it shares with the sweep. Returns the (possibly partial) grid plus a run report
+/// of cache hits, simulations, and per-job failures.
 #[must_use]
 pub fn run_grid_with(
     configs: &[CoreConfig],
     spec: &RunSpec,
     opts: &RunOptions,
 ) -> (GridResults, RunReport) {
-    let points: Vec<(CoreConfig, Scheme)> = configs
+    let points: Vec<(&CoreConfig, Scheme)> = configs
         .iter()
-        .flat_map(|c| Scheme::all().into_iter().map(|s| (c.clone(), s)))
+        .flat_map(|c| Scheme::all().into_iter().map(move |s| (c, s)))
         .collect();
     let profiles = spec2017_profiles();
-    let jobs_n = points.len() * profiles.len();
-    let labels: Vec<String> = (0..jobs_n)
-        .map(|k| {
-            let (config, scheme) = &points[k / profiles.len()];
-            format!(
-                "{}/{}/{}",
-                config.name,
-                scheme,
-                profiles[k % profiles.len()].name
-            )
-        })
-        .collect();
-    // Resolve every point's stats-store key up front so the resume pass
-    // can decide which traces it still needs.
-    let keys: Vec<(u64, u64)> = (0..jobs_n)
-        .map(|k| {
-            let (config, scheme) = &points[k / profiles.len()];
-            let profile = &profiles[k % profiles.len()];
-            let fp = combine_fp([
-                config.fingerprint(),
-                tag_fp(&scheme.to_string()),
-                profile.fingerprint(),
-            ]);
-            (bench_seed(profile, spec), fp)
-        })
-        .collect();
     // Each benchmark's trace is identical across all (config, scheme)
-    // points: generate once, share, and clone per run (a memcpy, far
-    // cheaper than regeneration). On a fully-cached resume every slot
-    // stays `None` and zero traces are generated.
-    let traces: Vec<std::sync::OnceLock<sb_isa::Trace>> = (0..profiles.len())
-        .map(|_| std::sync::OnceLock::new())
+    // points: one slot per benchmark.
+    let slots: Vec<TraceSlot> = profiles
+        .iter()
+        .map(|profile| TraceSlot {
+            profile,
+            seed: bench_seed(profile, spec),
+        })
         .collect();
-    let simulated = AtomicUsize::new(0);
-    let from_cache = AtomicUsize::new(0);
-    // Failed points never settle, so progress is monotone but may end
-    // short of `jobs_n` on a degraded run.
-    let settled = AtomicUsize::new(0);
-    let settle = |counter: &AtomicUsize| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(sink) = &opts.progress {
-            sink.report(k, jobs_n);
+    let mut labels = Vec::with_capacity(points.len() * profiles.len());
+    let mut batch = Vec::with_capacity(labels.capacity());
+    for &(config, scheme) in &points {
+        for (slot, profile) in profiles.iter().enumerate() {
+            labels.push(format!("{}/{}/{}", config.name, scheme, profile.name));
+            batch.push(PointJob {
+                config,
+                scheme: config.scheme_config(scheme),
+                slot,
+                fp: combine_fp([
+                    config.fingerprint(),
+                    tag_fp(&scheme.to_string()),
+                    profile.fingerprint(),
+                ]),
+            });
         }
-    };
-    let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
-        let k = ctx.index;
-        let (config, scheme) = &points[k / profiles.len()];
-        let b = k % profiles.len();
-        let profile = &profiles[b];
-        let (seed, fp) = keys[k];
-        if opts.resume {
-            if let Some(store) = &opts.store {
-                if let Some(stats) = store.load(profile.name, spec.ops, seed, fp) {
-                    settle(&from_cache);
-                    return Ok(BenchResult::new(
-                        profile.name,
-                        stats.committed.get(),
-                        stats.cycles.get(),
-                    ));
-                }
-            }
-        }
-        let trace = traces[b].get_or_init(|| bench_trace(profile, spec)).clone();
-        let (row, stats) = run_bench_cancellable(config, *scheme, profile, trace, ctx)?;
-        settle(&simulated);
-        if let Some(store) = &opts.store {
-            // A failed save is a cache bypass, never a run failure.
-            if let Ok(path) = store.save(profile.name, spec.ops, seed, fp, &stats) {
-                if let Some(plan) = &opts.policy.faults {
-                    if plan.corrupts_stats_at(k) {
-                        let _ = crate::faults::corrupt_file(&path);
-                    }
-                }
-            }
-        }
-        Ok(row)
-    });
+    }
+    let (results, run_report) = run_points(&labels, &batch, &slots, spec.ops, opts);
     // Unique config names in run order (a repeated config is listed once).
     let mut config_names: Vec<String> = Vec::new();
     for config in configs {
@@ -497,19 +508,10 @@ pub fn run_grid_with(
         configs: config_names,
         benchmarks: profiles.len(),
     };
-    for (pi, (config, scheme)) in points.iter().enumerate() {
-        let rows: Vec<BenchResult> = report.results[pi * profiles.len()..(pi + 1) * profiles.len()]
-            .iter()
-            .filter_map(Clone::clone)
-            .collect();
+    for (rows, (config, scheme)) in results.chunks(profiles.len()).zip(&points) {
+        let rows: Vec<BenchResult> = rows.iter().filter_map(Clone::clone).collect();
         grid.suites.insert((config.name.to_string(), *scheme), rows);
     }
-    let run_report = RunReport {
-        simulated: simulated.into_inner(),
-        from_cache: from_cache.into_inner(),
-        total: jobs_n,
-        failures: report.failures,
-    };
     (grid, run_report)
 }
 

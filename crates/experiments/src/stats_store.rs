@@ -1,16 +1,9 @@
-//! Persistent simulation-result store: memoizes `SimStats` on disk so an
-//! interrupted grid run can resume without re-simulating finished points.
+//! Persistent simulation results: the `SimStats` codec of the
+//! workspace's one [`BlobStore`], so an interrupted grid run or sweep can
+//! resume without re-simulating finished points.
 //!
-//! The design deliberately mirrors `sb-workloads`' `TraceStore` — same
-//! environment-variable semantics ([`STATS_CACHE_ENV`], resolved through
-//! [`sb_workloads::cache_dir_from_env`]), same filename keying
-//! ([`sb_workloads::cache_entry_stem`] plus a format-version suffix), same
-//! write-to-temporary-then-atomic-rename discipline, and the same
-//! self-healing read contract: *any* validation failure — missing file,
-//! short file, bad magic, stale format version, wrong benchmark name,
-//! checksum mismatch — is a cache miss that removes the bad entry, so a
-//! corrupted cache can delay a run but never change its results.
-//!
+//! [`StatsStore`] keys, writes, reads back and heals entries exactly as
+//! every [`BlobStore`] does ([`STATS_CACHE_ENV`] selects the directory).
 //! An entry's key is `(benchmark name, ops, seed, fingerprint)` where the
 //! fingerprint folds together everything else that determines the stats:
 //! the core configuration ([`sb_uarch::CoreConfig::fingerprint`], which
@@ -28,15 +21,12 @@
 
 use sb_isa::fnv;
 use sb_stats::SimStats;
-use sb_workloads::{cache_dir_from_env, cache_entry_stem};
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use sb_workloads::{BlobStore, Codec};
 
-/// Environment variable controlling the stats cache, with exactly the
-/// `SB_TRACE_CACHE` semantics: unset/empty keeps the default directory,
-/// `0`/`off` disables the store, anything else is the cache directory.
+/// Environment variable controlling the stats cache, with the semantics of
+/// every store ([`BlobStore::from_env`]): unset/empty keeps the default
+/// directory, `0`/`off` disables the store, anything else is the cache
+/// directory.
 pub const STATS_CACHE_ENV: &str = "SB_STATS_CACHE";
 
 /// Bump whenever the entry layout (or the meaning of a field) changes.
@@ -47,9 +37,6 @@ const MAGIC: &[u8; 4] = b"SBST";
 /// Number of `u64` counter fields an entry carries (all of `SimStats`
 /// including the five stall-breakdown counters).
 const FIELD_COUNT: u32 = 26;
-
-/// Distinguishes concurrent writers' temporary files within one process.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a of a string — for folding axis tags (scheme, threat model) into
 /// an entry fingerprint.
@@ -157,145 +144,66 @@ pub fn encode_stats(name: &str, stats: &SimStats) -> Vec<u8> {
     out
 }
 
-/// Decodes and validates one entry against the expected benchmark name.
-/// `None` on any validation failure (the caller treats it as a miss).
-#[must_use]
-pub fn decode_stats(bytes: &[u8], expected_name: &str) -> Option<SimStats> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let slice = bytes.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(slice)
-    };
-    if take(&mut pos, 4)? != MAGIC {
-        return None;
+/// The `SimStats` codec: [`encode_stats`], and a decoder that validates
+/// magic, version, benchmark name, field count, length and checksum.
+#[derive(Clone, Debug)]
+pub struct StatsCodec;
+
+impl Codec for StatsCodec {
+    type Value = SimStats;
+    const ENV: &'static str = STATS_CACHE_ENV;
+    const SUBDIR: &'static str = "stats-cache";
+    const EXT: &'static str = "sbstats";
+    const VERSION: u32 = STATS_FORMAT_VERSION;
+
+    fn encode(name: &str, stats: &SimStats) -> Vec<u8> {
+        encode_stats(name, stats)
     }
-    let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-    if version != STATS_FORMAT_VERSION {
-        return None;
+
+    fn decode(bytes: &[u8], expected_name: &str, _ops: usize) -> Option<SimStats> {
+        let mut pos = 0usize;
+        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
+            let slice = bytes.get(*pos..*pos + n)?;
+            *pos += n;
+            Some(slice)
+        };
+        if take(&mut pos, 4)? != MAGIC {
+            return None;
+        }
+        let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
+        if version != STATS_FORMAT_VERSION {
+            return None;
+        }
+        let name_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
+        if take(&mut pos, name_len)? != expected_name.as_bytes() {
+            return None;
+        }
+        let fields = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
+        if fields != FIELD_COUNT {
+            return None;
+        }
+        let mut values = [0u64; FIELD_COUNT as usize];
+        for v in &mut values {
+            *v = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
+        }
+        let stored = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
+        if pos != bytes.len() || stored != fnv::hash_bytes(&bytes[..bytes.len() - 8]) {
+            return None;
+        }
+        Some(stats_from_fields(&values))
     }
-    let name_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-    if take(&mut pos, name_len)? != expected_name.as_bytes() {
-        return None;
-    }
-    let fields = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-    if fields != FIELD_COUNT {
-        return None;
-    }
-    let mut values = [0u64; FIELD_COUNT as usize];
-    for v in &mut values {
-        *v = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-    }
-    let stored = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-    if pos != bytes.len() || stored != fnv::hash_bytes(&bytes[..bytes.len() - 8]) {
-        return None;
-    }
-    Some(stats_from_fields(&values))
 }
 
 /// A directory of serialized `SimStats` keyed by
 /// `(benchmark name, ops, seed, fingerprint, format version)`.
-#[derive(Clone, Debug)]
-pub struct StatsStore {
-    dir: PathBuf,
-}
-
-impl StatsStore {
-    /// A store rooted at `dir` (created lazily on first write).
-    #[must_use]
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        StatsStore { dir: dir.into() }
-    }
-
-    /// The store honoring [`STATS_CACHE_ENV`]: `None` when disabled
-    /// (`0`/`off`), otherwise a store on the requested (or default)
-    /// directory. Shares [`sb_workloads::cache_dir_from_env`] with the
-    /// trace store so the two knobs can never drift semantically.
-    #[must_use]
-    pub fn from_env() -> Option<StatsStore> {
-        cache_dir_from_env(STATS_CACHE_ENV, Self::default_dir).map(StatsStore::new)
-    }
-
-    /// The default cache directory: `$CARGO_TARGET_DIR/stats-cache` when
-    /// set, else the workspace `target/stats-cache`.
-    #[must_use]
-    pub fn default_dir() -> PathBuf {
-        if let Ok(target) = std::env::var("CARGO_TARGET_DIR") {
-            return Path::new(&target).join("stats-cache");
-        }
-        // sb-experiments lives at <workspace>/crates/experiments; resolve
-        // the workspace target dir relative to the compiled crate so every
-        // binary shares one cache.
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/stats-cache")
-            .components()
-            .collect()
-    }
-
-    /// The directory this store reads and writes.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The cache file path for a key under the current format version.
-    #[must_use]
-    pub fn path_for(&self, name: &str, ops: usize, seed: u64, fp: u64) -> PathBuf {
-        let stem = cache_entry_stem(name, ops, seed, fp);
-        self.dir
-            .join(format!("{stem}-v{STATS_FORMAT_VERSION}.sbstats"))
-    }
-
-    /// Loads the cached stats for a key, or `None` on miss or on *any*
-    /// validation failure (which also removes the bad entry, best-effort,
-    /// so the next write heals the cache).
-    #[must_use]
-    pub fn load(&self, name: &str, ops: usize, seed: u64, fp: u64) -> Option<SimStats> {
-        let path = self.path_for(name, ops, seed, fp);
-        let stats = decode_stats(&fs::read(&path).ok()?, name);
-        if stats.is_none() {
-            let _ = fs::remove_file(&path);
-        }
-        stats
-    }
-
-    /// Serializes `stats` under its key via write-to-temporary plus atomic
-    /// rename, returning the entry path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (callers treat a failed save as a
-    /// cache bypass, never as a run failure).
-    pub fn save(
-        &self,
-        name: &str,
-        ops: usize,
-        seed: u64,
-        fp: u64,
-        stats: &SimStats,
-    ) -> io::Result<PathBuf> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(name, ops, seed, fp);
-        let tmp = self.dir.join(format!(
-            ".{}.{}.{}.tmp",
-            path.file_name().unwrap_or_default().to_string_lossy(),
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, encode_stats(name, stats))?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-}
+pub type StatsStore = BlobStore<StatsCodec>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_workloads::{generate, spec2017_profiles, TraceCodec};
+    use std::fmt::Debug;
+    use std::path::Path;
 
     fn sample_stats() -> SimStats {
         let mut s = SimStats::new();
@@ -309,15 +217,8 @@ mod tests {
         s
     }
 
-    fn temp_store(tag: &str) -> StatsStore {
-        let dir =
-            std::env::temp_dir().join(format!("sb-stats-store-test-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        StatsStore::new(dir)
-    }
-
-    fn cleanup(store: &StatsStore) {
-        let _ = fs::remove_dir_all(store.dir());
+    fn decode_stats(bytes: &[u8], name: &str) -> Option<SimStats> {
+        StatsCodec::decode(bytes, name, 0)
     }
 
     #[test]
@@ -363,35 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn store_roundtrip_and_keying() {
-        let store = temp_store("roundtrip");
-        let stats = sample_stats();
-        assert!(store.load("505.mcf", 60_000, 7, 42).is_none());
-        store.save("505.mcf", 60_000, 7, 42, &stats).unwrap();
-        assert_eq!(store.load("505.mcf", 60_000, 7, 42), Some(stats));
-        // Every key component separates entries.
-        assert!(store.load("502.gcc", 60_000, 7, 42).is_none());
-        assert!(store.load("505.mcf", 60_001, 7, 42).is_none());
-        assert!(store.load("505.mcf", 60_000, 8, 42).is_none());
-        assert!(store.load("505.mcf", 60_000, 7, 43).is_none());
-        cleanup(&store);
-    }
-
-    #[test]
-    fn corrupt_entry_is_dropped_and_healed_by_the_next_save() {
-        let store = temp_store("corrupt");
-        let stats = sample_stats();
-        store.save("505.mcf", 100, 1, 2, &stats).unwrap();
-        let path = store.path_for("505.mcf", 100, 1, 2);
-        crate::faults::corrupt_file(&path).unwrap();
-        assert!(store.load("505.mcf", 100, 1, 2).is_none());
-        assert!(!path.exists(), "bad entry removed");
-        store.save("505.mcf", 100, 1, 2, &stats).unwrap();
-        assert_eq!(store.load("505.mcf", 100, 1, 2), Some(stats));
-        cleanup(&store);
-    }
-
-    #[test]
     fn combine_fp_is_order_sensitive_and_tag_fp_distinguishes_axes() {
         assert_ne!(combine_fp([1, 2]), combine_fp([2, 1]));
         assert_ne!(combine_fp([1, 2]), combine_fp([1, 3]));
@@ -399,37 +271,127 @@ mod tests {
         assert_ne!(tag_fp("spectre"), tag_fp("futuristic"));
     }
 
-    #[test]
-    fn from_env_shares_trace_store_semantics() {
-        // Sequential within one test: process-global env mutation must not
-        // race across #[test] fns.
-        let saved = std::env::var(STATS_CACHE_ENV).ok();
-        std::env::remove_var(STATS_CACHE_ENV);
-        assert_eq!(
-            StatsStore::from_env().expect("unset means default").dir(),
-            StatsStore::default_dir()
-        );
-        for off in ["0", "off", " OFF\n"] {
-            std::env::set_var(STATS_CACHE_ENV, off);
-            assert!(StatsStore::from_env().is_none(), "{off:?} must disable");
+    // The store contract, run for both codecs (this crate is the one that
+    // sees both): `check_*::<C>` takes one `(name, ops)` key and a value
+    // valid under it.
+
+    fn scratch<C: Codec>(tag: &str) -> BlobStore<C> {
+        let dir = std::env::temp_dir().join(format!(
+            "sb-blob-store-test-{}-{}-{tag}",
+            std::process::id(),
+            C::EXT
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        BlobStore::new(dir)
+    }
+
+    fn sample_trace() -> sb_isa::Trace {
+        let p = spec2017_profiles()[3]; // 505.mcf
+        generate(&p, 400, 77)
+    }
+
+    fn check_roundtrip_and_keying<C: Codec>(name: &str, ops: usize, value: &C::Value)
+    where
+        C::Value: PartialEq + Debug,
+    {
+        let store = scratch::<C>("roundtrip");
+        assert!(store.load(name, ops, 7, 42).is_none());
+        store.save(name, ops, 7, 42, value).unwrap();
+        assert_eq!(store.load(name, ops, 7, 42).as_ref(), Some(value));
+        // Every key component separates entries.
+        assert!(store.load("502.gcc", ops, 7, 42).is_none());
+        assert!(store.load(name, ops + 1, 7, 42).is_none());
+        assert!(store.load(name, ops, 8, 42).is_none());
+        assert!(store.load(name, ops, 7, 43).is_none());
+        let path = store.path_for(name, ops, 7, 42);
+        assert_ne!(path, store.path_for("502.gcc", ops, 7, 42));
+        assert_ne!(path, store.path_for(name, ops + 1, 7, 42));
+        assert_ne!(path, store.path_for(name, ops, 8, 42));
+        assert_ne!(path, store.path_for(name, ops, 7, 43));
+        assert!(path
+            .to_string_lossy()
+            .ends_with(&format!("-v{}.{}", C::VERSION, C::EXT)));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    fn check_corrupt_entry_is_dropped_and_healed<C: Codec>(name: &str, ops: usize, value: &C::Value)
+    where
+        C::Value: PartialEq + Debug,
+    {
+        let store = scratch::<C>("corrupt");
+        let path = store.save(name, ops, 1, 2, value).unwrap();
+        assert_eq!(path, store.path_for(name, ops, 1, 2));
+        crate::faults::corrupt_file(&path).unwrap();
+        assert!(store.load(name, ops, 1, 2).is_none());
+        assert!(!path.exists(), "bad entry removed");
+        store.save(name, ops, 1, 2, value).unwrap();
+        assert_eq!(store.load(name, ops, 1, 2).as_ref(), Some(value));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    fn check_from_env<C: Codec>() {
+        let saved = std::env::var(C::ENV).ok();
+        let default = BlobStore::<C>::default_dir();
+        let dir_of = || BlobStore::<C>::from_env().map(|s| s.dir().to_path_buf());
+
+        // Unset: the default directory.
+        std::env::remove_var(C::ENV);
+        assert_eq!(dir_of(), Some(default.clone()), "{}", C::ENV);
+
+        // The documented disable spellings, with incidental whitespace
+        // (shell wrappers readily produce trailing newlines).
+        for off in ["0", "off", "OFF", "Off", " 0", "0\n", " off ", " OFF\n"] {
+            std::env::set_var(C::ENV, off);
+            assert_eq!(dir_of(), None, "{}={off:?} must disable", C::ENV);
         }
-        std::env::set_var(STATS_CACHE_ENV, "/tmp/sb-redirected-stats");
+
+        // A path redirects.
+        std::env::set_var(C::ENV, "/tmp/sb-redirected-cache");
         assert_eq!(
-            StatsStore::from_env().expect("path redirects").dir(),
-            Path::new("/tmp/sb-redirected-stats")
+            dir_of().as_deref(),
+            Some(Path::new("/tmp/sb-redirected-cache"))
         );
+
+        // Regression: set-but-empty (and whitespace-only) is the default
+        // directory. Lumping empty in with the disable spellings silently
+        // turns caching off; treating any set value as a redirect roots
+        // the store at "" and scatters cache files cwd-relative. Both
+        // wrong shapes are pinned here.
         for empty in ["", "  "] {
-            std::env::set_var(STATS_CACHE_ENV, empty);
+            std::env::set_var(C::ENV, empty);
             assert_eq!(
-                StatsStore::from_env()
-                    .unwrap_or_else(|| panic!("{empty:?} must not disable"))
-                    .dir(),
-                StatsStore::default_dir()
+                dir_of(),
+                Some(default.clone()),
+                "{}={empty:?} must mean the default dir",
+                C::ENV
             );
         }
+
         match saved {
-            Some(v) => std::env::set_var(STATS_CACHE_ENV, v),
-            None => std::env::remove_var(STATS_CACHE_ENV),
+            Some(v) => std::env::set_var(C::ENV, v),
+            None => std::env::remove_var(C::ENV),
         }
+    }
+
+    #[test]
+    fn store_roundtrip_and_keying() {
+        check_roundtrip_and_keying::<StatsCodec>("505.mcf", 60_000, &sample_stats());
+        let trace = sample_trace();
+        check_roundtrip_and_keying::<TraceCodec>(trace.name(), trace.len(), &trace);
+    }
+
+    #[test]
+    fn corrupt_entry_is_dropped_and_healed_by_the_next_save() {
+        check_corrupt_entry_is_dropped_and_healed::<StatsCodec>("505.mcf", 100, &sample_stats());
+        let trace = sample_trace();
+        check_corrupt_entry_is_dropped_and_healed::<TraceCodec>(trace.name(), trace.len(), &trace);
+    }
+
+    #[test]
+    fn from_env_disable_redirect_and_empty_semantics() {
+        // One test covers both variables, sequentially: process-global env
+        // mutation must not race across #[test] fns.
+        check_from_env::<TraceCodec>();
+        check_from_env::<StatsCodec>();
     }
 }

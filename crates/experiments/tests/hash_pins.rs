@@ -4,13 +4,15 @@
 //! seed and checksum stored entries, so a change to any of them silently
 //! orphans every existing cache entry (or, for seeds, changes results).
 //! The literals were recorded before the workspace's FNV copies were
-//! merged into `sb_isa::fnv`; they must never change.
+//! merged into `sb_isa::fnv`, and the cache file names before the trace
+//! and stats stores were merged into one generic store; they must never
+//! change.
 
 use sb_experiments::stats_store::{combine_fp, encode_stats, tag_fp};
-use sb_experiments::{bench_trace, RunSpec};
+use sb_experiments::{bench_trace, RunSpec, StatsStore};
 use sb_stats::SimStats;
 use sb_uarch::CoreConfig;
-use sb_workloads::{cache_entry_stem, generate, spec2017_profiles};
+use sb_workloads::{generate, spec2017_profiles, TraceStore};
 
 #[test]
 fn persisted_hashes_keep_their_recorded_values() {
@@ -25,10 +27,18 @@ fn persisted_hashes_keep_their_recorded_values() {
         .expect("508.namd profile");
     assert_eq!(namd.fingerprint(), 0x0ee7_2965_714d_b66e);
 
-    // A name that needs sanitizing gets its FNV-1a appended to the stem.
+    // Full cache file names: sanitized name (a name that needs
+    // sanitizing gets its FNV-1a appended), ops, seed, fingerprint, then
+    // the store's format version and extension.
+    let file_name =
+        |path: std::path::PathBuf| path.file_name().unwrap().to_string_lossy().into_owned();
     assert_eq!(
-        cache_entry_stem("spectre v1", 2000, 7, 0xabc),
-        "spectre_v1_580b56b4-2000-0000000000000007-0000000000000abc"
+        file_name(TraceStore::new("d").path_for("spectre v1", 2000, 7, 0xabc)),
+        "spectre_v1_580b56b4-2000-0000000000000007-0000000000000abc-v2.sbtrace"
+    );
+    assert_eq!(
+        file_name(StatsStore::new("d").path_for("505.mcf", 3000, 7, combine_fp([1, 2, 3]))),
+        "505.mcf-3000-0000000000000007-da2bfb225e0d1f05-v1.sbstats"
     );
 
     // The stats-store entry checksum is the last word of the encoding.

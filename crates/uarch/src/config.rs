@@ -1,6 +1,7 @@
 //! Core configurations: the paper's four BOOM design points (Table 1) plus
 //! the gem5-like configurations of §8.6, and the fidelity knob of §9.5.
 
+use sb_core::{Scheme, SchemeConfig};
 use sb_mem::HierarchyConfig;
 use std::fmt;
 
@@ -305,6 +306,18 @@ impl CoreConfig {
             fidelity: Fidelity::Abstract,
             scheduler: SchedulerKind::EventWheel,
             predictor: PredictorConfig::disabled(),
+        }
+    }
+
+    /// The scheme configuration a core of this fidelity runs `scheme`
+    /// with (Spectre threat model): broadcast bandwidth bounded by the
+    /// memory ports at RTL fidelity, the abstract simulator's
+    /// idealizations otherwise.
+    #[must_use]
+    pub fn scheme_config(&self, scheme: Scheme) -> SchemeConfig {
+        match self.fidelity {
+            Fidelity::Rtl => SchemeConfig::rtl(scheme, self.mem_ports),
+            Fidelity::Abstract => SchemeConfig::abstract_sim(scheme),
         }
     }
 

@@ -84,7 +84,7 @@
 //!   MSHR/port-contention scenario decodes. Observation never perturbs
 //!   timing or statistics.
 
-use crate::config::{CoreConfig, Fidelity, SchedulerKind};
+use crate::config::{CoreConfig, SchedulerKind};
 use crate::frontend::{Fetched, Frontend};
 use crate::inst::{ColdInst, HotInst, Phase};
 use crate::memdep::MemDepPredictor;
@@ -385,15 +385,11 @@ impl Core {
         }
     }
 
-    /// Convenience constructor: RTL-fidelity scheme config derived from the
-    /// core config (broadcast bandwidth = memory ports), abstract scheme
-    /// config for abstract-fidelity cores.
+    /// Convenience constructor: [`Core::new`] with the fidelity-derived
+    /// [`CoreConfig::scheme_config`].
     #[must_use]
     pub fn with_scheme(config: CoreConfig, scheme: Scheme, trace: Trace) -> Self {
-        let scheme_cfg = match config.fidelity {
-            Fidelity::Rtl => SchemeConfig::rtl(scheme, config.mem_ports),
-            Fidelity::Abstract => SchemeConfig::abstract_sim(scheme),
-        };
+        let scheme_cfg = config.scheme_config(scheme);
         Core::new(config, scheme_cfg, trace)
     }
 

@@ -35,6 +35,4 @@ pub use attacks::{
 };
 pub use generator::{generate, generate_with, GeneratorKind};
 pub use profiles::{spec2017_profiles, AccessPattern, WorkloadProfile};
-pub use store::{
-    cache_dir_from_env, cache_entry_stem, cached_generate, TraceStore, TRACE_CACHE_ENV,
-};
+pub use store::{cached_generate, BlobStore, Codec, TraceCodec, TraceStore, TRACE_CACHE_ENV};
