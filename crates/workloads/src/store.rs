@@ -331,6 +331,22 @@ mod tests {
     }
 
     #[test]
+    fn keys_are_disjoint_per_name_ops_seed_and_fingerprint() {
+        let store = temp_store("keys");
+        let p = spec2017_profiles();
+        let fp = p[0].fingerprint();
+        let a = store.path_for(p[0].name, 100, 1, fp);
+        assert_ne!(a, store.path_for(p[1].name, 100, 1, p[1].fingerprint()));
+        assert_ne!(a, store.path_for(p[0].name, 101, 1, fp));
+        assert_ne!(a, store.path_for(p[0].name, 100, 2, fp));
+        assert_ne!(a, store.path_for(p[0].name, 100, 1, fp ^ 1));
+        assert!(a
+            .to_string_lossy()
+            .contains(&format!("-v{TRACE_FORMAT_VERSION}.sbtrace")));
+        cleanup(&store);
+    }
+
+    #[test]
     fn profile_changes_change_the_fingerprint() {
         // A recalibrated profile must key to a different cache file, so a
         // persisted cache (CI restores target/trace-cache across commits)
@@ -358,6 +374,27 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_entry_is_dropped_and_healed() {
+        let store = temp_store("corrupt");
+        let p = spec2017_profiles()[3]; // 505.mcf
+        let fp = p.fingerprint();
+        let fresh = store.load_or_generate(&p, 400, 77);
+        let path = store.path_for(p.name, 400, 77, fp);
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+        // The corrupt entry must read as a miss (and be removed)...
+        assert!(store.load(p.name, 400, 77, fp).is_none());
+        assert!(!path.exists());
+        // ...and the regeneration path must heal it with identical data.
+        let healed = store.load_or_generate(&p, 400, 77);
+        assert_eq!(fresh, healed);
+        assert!(store.load(p.name, 400, 77, fp).is_some());
+        cleanup(&store);
+    }
+
+    #[test]
     fn key_collision_on_other_workload_is_a_miss() {
         let store = temp_store("collision");
         let profiles = spec2017_profiles();
@@ -369,6 +406,54 @@ mod tests {
         fs::write(&path, sb_isa::encode_trace(&trace)).unwrap();
         assert!(store.load(b.name, 300, 5, b.fingerprint()).is_none());
         cleanup(&store);
+    }
+
+    #[test]
+    fn from_env_disable_redirect_and_empty_semantics() {
+        // One test covers every TRACE_CACHE_ENV shape, sequentially:
+        // process-global env mutation must not race across #[test] fns.
+        let saved = std::env::var(TRACE_CACHE_ENV).ok();
+        let from_env = BlobStore::<TraceCodec>::from_env;
+        let default_dir = BlobStore::<TraceCodec>::default_dir;
+
+        // Unset: the default directory.
+        std::env::remove_var(TRACE_CACHE_ENV);
+        let unset = from_env().expect("unset means default dir");
+        assert_eq!(unset.dir(), default_dir());
+
+        // The documented disable spellings, with incidental whitespace
+        // (shell wrappers readily produce trailing newlines).
+        for off in ["0", "off", "OFF", "Off", " 0", "0\n", " off "] {
+            std::env::set_var(TRACE_CACHE_ENV, off);
+            assert!(from_env().is_none(), "{off:?} must disable the store");
+        }
+
+        // A path redirects.
+        std::env::set_var(TRACE_CACHE_ENV, "/tmp/sb-redirected-cache");
+        let redirected = from_env().expect("path redirects");
+        assert_eq!(redirected.dir(), Path::new("/tmp/sb-redirected-cache"));
+
+        // Regression: set-but-empty (and whitespace-only) is the default
+        // directory. Lumping empty in with the disable spellings silently
+        // turns caching off; treating any set value as a redirect roots
+        // the store at "" and scatters cache files cwd-relative. Both
+        // wrong shapes are pinned here.
+        for empty in ["", "  "] {
+            std::env::set_var(TRACE_CACHE_ENV, empty);
+            let store =
+                from_env().unwrap_or_else(|| panic!("{empty:?} must not disable the store"));
+            assert_eq!(
+                store.dir(),
+                default_dir(),
+                "{empty:?} must mean the default dir, not a {empty:?}-rooted store"
+            );
+            assert_ne!(store.dir(), Path::new(""));
+        }
+
+        match saved {
+            Some(v) => std::env::set_var(TRACE_CACHE_ENV, v),
+            None => std::env::remove_var(TRACE_CACHE_ENV),
+        }
     }
 
     #[test]
