@@ -69,11 +69,37 @@ impl Scheme {
             Scheme::Nda => "NDA",
         }
     }
+
+    /// The command-line and sweep-spec name, parsed back by
+    /// [`Scheme::from_str`](std::str::FromStr::from_str).
+    #[must_use]
+    pub fn key(self) -> &'static str {
+        match self {
+            Scheme::Baseline => "baseline",
+            Scheme::SttRename => "stt-rename",
+            Scheme::SttIssue => "stt-issue",
+            Scheme::Nda => "nda",
+        }
+    }
 }
 
 impl fmt::Display for Scheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for Scheme {
+    type Err = String;
+
+    /// Parses a [`Scheme::key`]. Unknown names are a hard error.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Scheme::all()
+            .into_iter()
+            .find(|scheme| scheme.key() == s)
+            .ok_or_else(|| {
+                format!("unknown scheme '{s}' (expected baseline, stt-rename, stt-issue or nda)")
+            })
     }
 }
 
@@ -175,6 +201,20 @@ mod tests {
     fn all_and_secure_are_consistent() {
         assert_eq!(Scheme::all().len(), 4);
         assert!(Scheme::secure().iter().all(|s| s.is_secure()));
+    }
+
+    #[test]
+    fn keys_round_trip_and_unknown_names_are_rejected() {
+        for scheme in Scheme::all() {
+            assert_eq!(scheme.key().parse::<Scheme>(), Ok(scheme));
+        }
+        let keys: Vec<&str> = Scheme::all().iter().map(|s| s.key()).collect();
+        assert_eq!(keys, ["baseline", "stt-rename", "stt-issue", "nda"]);
+        let err = "STT-Rename".parse::<Scheme>().unwrap_err();
+        assert!(
+            err.contains("'STT-Rename'") && err.contains("stt-issue"),
+            "{err}"
+        );
     }
 
     #[test]

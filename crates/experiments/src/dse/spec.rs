@@ -237,19 +237,6 @@ fn base_config(name: &str) -> Option<CoreConfig> {
     }
 }
 
-fn scheme_key(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::Baseline => "baseline",
-        Scheme::SttRename => "stt-rename",
-        Scheme::SttIssue => "stt-issue",
-        Scheme::Nda => "nda",
-    }
-}
-
-fn scheme_from_key(key: &str) -> Option<Scheme> {
-    Scheme::all().into_iter().find(|&s| scheme_key(s) == key)
-}
-
 /// Interns a derived configuration name, returning a `&'static str` for
 /// [`CoreConfig::name`]. Identical names share one allocation, so repeated
 /// sweeps over the same spec leak nothing new.
@@ -326,7 +313,7 @@ fn parse_schemes(raw: &str) -> Result<Vec<Scheme>, SpecError> {
         list => list
             .split(',')
             .map(|k| {
-                scheme_from_key(k).ok_or_else(|| {
+                k.parse::<Scheme>().map_err(|_| {
                     bad(format!(
                         "unknown scheme '{k}' (expected baseline, stt-rename, \
                          stt-issue, nda, all or secure)"
@@ -360,46 +347,6 @@ fn parse_threats(raw: &str) -> Result<Vec<ThreatModel>, SpecError> {
         .into_iter()
         .filter(|t| wanted.contains(t))
         .collect())
-}
-
-/// Non-panicking mirror of [`CoreConfig::validate`] plus the cache-geometry
-/// constraints, so a bad sweep point is a typed [`SpecError`] instead of an
-/// abort inside `Core::new`.
-fn validate_config(config: &CoreConfig) -> Result<(), SpecError> {
-    let fail = |why: &str| Err(SpecError::Invalid(format!("config {}: {why}", config.name)));
-    if config.width == 0 {
-        return fail("width must be positive");
-    }
-    if config.mem_ports == 0 {
-        return fail("need at least one memory port");
-    }
-    if config.rob_entries < config.width {
-        return fail("ROB must fit one full rename group (rob >= width)");
-    }
-    if config.iq_entries == 0 || config.lq_entries == 0 || config.sq_entries == 0 {
-        return fail("issue/load/store queues must be non-empty");
-    }
-    if config.phys_regs < sb_isa::NUM_ARCH_REGS + config.width {
-        return fail("physical registers must cover architectural state plus rename headroom");
-    }
-    if config.max_br_tags == 0 {
-        return fail("need at least one branch tag");
-    }
-    for (label, cache) in [("l1", &config.hierarchy.l1d), ("l2", &config.hierarchy.l2)] {
-        if cache.sets == 0 || !cache.sets.is_power_of_two() {
-            return Err(SpecError::Invalid(format!(
-                "config {}: {label} sets must be a power of two, got {}",
-                config.name, cache.sets
-            )));
-        }
-        if cache.ways == 0 {
-            return Err(SpecError::Invalid(format!(
-                "config {}: {label} needs at least one way",
-                config.name
-            )));
-        }
-    }
-    Ok(())
 }
 
 impl SweepSpec {
@@ -505,7 +452,7 @@ impl SweepSpec {
             let list: Vec<String> = values.iter().map(ToString::to_string).collect();
             parts.push(format!("{}={}", axis.key(), list.join(",")));
         }
-        let schemes: Vec<&str> = self.schemes.iter().map(|&s| scheme_key(s)).collect();
+        let schemes: Vec<&str> = self.schemes.iter().map(|s| s.key()).collect();
         parts.push(format!("scheme={}", schemes.join(",")));
         let threats: Vec<&str> = self.threats.iter().map(|t| t.label()).collect();
         parts.push(format!("threat={}", threats.join(",")));
@@ -559,7 +506,9 @@ impl SweepSpec {
             if name != self.base {
                 config.name = intern(name);
             }
-            validate_config(&config)?;
+            config
+                .check()
+                .map_err(|e| SpecError::Invalid(format!("config {}: {e}", config.name)))?;
             out.push(config);
         }
         Ok(out)

@@ -12,12 +12,22 @@
 //! sb-experiments sweep (--spec SPEC | --from-manifest PATH) [--top N] [--out DIR]
 //!                [--ops N] [--seed S] [--no-trace-cache] [--resume]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
+//! sb-experiments import FILE.sbtr [--scheme baseline|stt-rename|stt-issue|nda]
 //! ```
 //!
 //! Experiments: `table1 fig6 fig7 fig8 fig9 fig10 table3 table4 table5
-//! sec92 security` or `all` (default). CSVs land in `--out`
-//! (default `results/`). Unknown experiment names and malformed flag
-//! values are hard errors — a typo must never silently run the default.
+//! sec92 security` (`fig1` is an alias of `table3`) or `all` (default).
+//! CSVs land in `--out` (default `results/`).
+//!
+//! The command line is read against two tables. `FLAGS` declares each
+//! flag once: its name, whether it takes a value, and the commands that
+//! own it (the experiment run, `sweep`, `verify-security`,
+//! `analyze-security`, `import`). A flag given to a command that does not
+//! own it is a usage error, never silently ignored. `EXPERIMENTS`
+//! declares each experiment once, in `all`'s output order: the names that
+//! select it, and a report builder whose kind says whether the grid must
+//! be simulated first. Unknown experiment names and malformed flag values
+//! are hard errors too; every usage error exits 2.
 //!
 //! Workload traces are memoized on disk (default `target/trace-cache/`),
 //! so repeated invocations skip generation; `--no-trace-cache` disables
@@ -75,6 +85,9 @@
 //! and `manifest.json` (the reproduction contract); `--from-manifest`
 //! re-runs a sweep from a manifest alone and reproduces the leaderboard
 //! byte for byte.
+//!
+//! `import` (which must be the first argument) decodes an external SBTR
+//! trace file and runs it under both schedulers, which must agree.
 
 use sb_core::{Scheme, ThreatModel};
 use sb_experiments::dse::{
@@ -90,18 +103,12 @@ use sb_experiments::{
     Report, RunOptions, RunSpec,
 };
 use sb_uarch::CoreConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Duration;
-
-/// Experiment names (selectable together, `all` being the default).
-const EXPERIMENT_NAMES: &[&str] = &[
-    "all", "table1", "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "table3", "table4", "table5",
-    "sec92", "security",
-];
-
-/// Subcommands: run alone, with their own flag sets.
-const SUBCOMMANDS: &[&str] = &["verify-security", "analyze-security", "sweep"];
+use Build::{Grid, Plain};
+use Command::{AnalyzeSecurity, Import, Run, Sweep, VerifySecurity};
+use Takes::{Nothing, Value};
 
 const USAGE: &str =
     "usage: sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]\n\
@@ -125,8 +132,38 @@ const USAGE: &str =
      them back)\n\
      fault spec: comma-separated panic@I | overrun@I | corrupt-stats@I (also via SB_FAULT_INJECT)";
 
-#[derive(Debug)]
+/// What one invocation runs: a list of experiments, or one subcommand,
+/// which runs alone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Command {
+    #[default]
+    Run,
+    Sweep,
+    VerifySecurity,
+    AnalyzeSecurity,
+    Import,
+}
+
+impl Command {
+    /// The subcommands that may appear anywhere among the experiment names
+    /// (`import` must be the first argument instead), in the order their
+    /// presence is checked.
+    const ANYWHERE: [Command; 3] = [VerifySecurity, AnalyzeSecurity, Sweep];
+
+    fn name(self) -> &'static str {
+        match self {
+            Run => "run",
+            Sweep => "sweep",
+            VerifySecurity => "verify-security",
+            AnalyzeSecurity => "analyze-security",
+            Import => "import",
+        }
+    }
+}
+
+#[derive(Debug, Default)]
 struct Args {
+    command: Command,
     spec: RunSpec,
     out: PathBuf,
     experiments: Vec<String>,
@@ -141,279 +178,252 @@ struct Args {
     job_deadline: Option<Duration>,
     run_budget: Option<Duration>,
     faults: Option<FaultPlan>,
+    trace_file: Option<PathBuf>,
+    scheme: Scheme,
     help: bool,
 }
 
-/// Parses `--threat-model`'s value: a single model name or `both`. Any
-/// other value is a hard error — the security axis must never silently
-/// fall back to a default model.
-fn parse_threat_models(value: Option<String>) -> Result<Vec<ThreatModel>, String> {
-    let raw = value.ok_or("--threat-model requires a value")?;
-    match raw.as_str() {
-        "both" => Ok(ThreatModel::all().to_vec()),
-        other => other
-            .parse::<ThreatModel>()
-            .map(|m| vec![m])
-            .map_err(|e| format!("invalid value for --threat-model: {e}")),
-    }
+/// What a flag consumes from the command line.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: a switch that sets its field.
+    Nothing(fn(&mut Args)),
+    /// The next argument, parsed into its field; `Err` says what is wrong
+    /// with the value.
+    Value(fn(&mut Args, &str) -> Result<(), String>),
 }
 
-/// Parses a flag's value, failing loudly with the flag name on a missing
-/// or malformed value — `--ops garbage` must never silently run the
-/// default.
-fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let raw = value.ok_or_else(|| format!("{flag} requires a value"))?;
-    raw.parse()
-        .map_err(|_| format!("invalid value for {flag}: '{raw}'"))
+/// One command-line flag. It is accepted only by its `owners`; anywhere
+/// else it would be silently ignored, so it is a usage error.
+struct Flag {
+    name: &'static str,
+    takes: Takes,
+    owners: &'static [Command],
 }
 
-/// Parses a duration flag given in (possibly fractional) seconds.
-fn secs_value(flag: &str, value: Option<String>) -> Result<Duration, String> {
-    let secs: f64 = flag_value(flag, value)?;
+/// Every flag, each declared once. The row order is the order the
+/// "accepted flags" hint lists them in.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--spec", takes: Value(|a, v| parse(v).map(|s| a.sweep_spec = Some(s))), owners: &[Sweep] },
+    Flag { name: "--from-manifest", takes: Value(|a, v| parse(v).map(|p| a.from_manifest = Some(p))), owners: &[Sweep] },
+    Flag { name: "--top", takes: Value(|a, v| parse(v).map(|n| a.top = Some(n))), owners: &[Sweep] },
+    Flag { name: "--out", takes: Value(|a, v| parse(v).map(|p| a.out = p)), owners: &[Run, Sweep, VerifySecurity, AnalyzeSecurity] },
+    Flag { name: "--ops", takes: Value(|a, v| parse(v).map(|n| a.spec.ops = n)), owners: &[Run, Sweep] },
+    Flag { name: "--seed", takes: Value(|a, v| parse(v).map(|n| a.spec.seed = n)), owners: &[Run, Sweep] },
+    Flag { name: "--threat-model", takes: Value(|a, v| threat_models(v).map(|m| a.threat_models = m)), owners: &[VerifySecurity, AnalyzeSecurity] },
+    Flag { name: "--self-check", takes: Nothing(|a| a.self_check = true), owners: &[AnalyzeSecurity] },
+    Flag { name: "--perturb-claim", takes: Value(|a, v| parse(v).map(|s| a.perturb_claim = Some(s))), owners: &[AnalyzeSecurity] },
+    Flag { name: "--no-trace-cache", takes: Nothing(|a| a.no_trace_cache = true), owners: &[Run, Sweep] },
+    Flag { name: "--resume", takes: Nothing(|a| a.resume = true), owners: &[Run, Sweep] },
+    Flag { name: "--job-deadline", takes: Value(|a, v| secs(v).map(|d| a.job_deadline = Some(d))), owners: &[Run, Sweep, VerifySecurity] },
+    Flag { name: "--run-budget", takes: Value(|a, v| secs(v).map(|d| a.run_budget = Some(d))), owners: &[Run, Sweep, VerifySecurity] },
+    Flag { name: "--inject-faults", takes: Value(|a, v| FaultPlan::parse(v).map(|p| a.faults = Some(p))), owners: &[Run, Sweep, VerifySecurity] },
+    Flag { name: "--scheme", takes: Value(|a, v| v.parse().map(|s| a.scheme = s)), owners: &[Import] },
+];
+
+type Built = Result<Report, ExperimentError>;
+
+/// How an experiment's report is built: from the simulated grid (which
+/// the run then simulates first) or from the configurations and run spec
+/// alone.
+#[derive(Clone, Copy)]
+enum Build {
+    Grid(fn(&GridResults, &[CoreConfig], &RunSpec) -> Built),
+    Plain(fn(&[CoreConfig], &RunSpec) -> Built),
+}
+
+/// One paper artifact: the names that select it (the first names it in
+/// messages) and its builder.
+struct Experiment {
+    names: &'static [&'static str],
+    build: Build,
+}
+
+/// Every experiment, each declared once, in `all`'s output order.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment { names: &["table1"], build: Grid(|g, c, _| table1_report(g, c)) },
+    Experiment { names: &["fig6"], build: Grid(|g, _, _| fig6_report(g)) },
+    Experiment { names: &["fig7"], build: Grid(|g, _, _| fig7_report(g)) },
+    Experiment { names: &["fig8"], build: Grid(|g, _, _| fig8_report(g)) },
+    Experiment { names: &["fig9"], build: Plain(|c, _| fig9_report(c)) },
+    Experiment { names: &["fig10"], build: Grid(|g, c, _| fig10_report(g, c)) },
+    Experiment { names: &["table3", "fig1"], build: Grid(|g, c, _| fig1_table3_report(g, c)) },
+    Experiment { names: &["table4"], build: Plain(|_, s| Ok(table4_report(s))) },
+    Experiment { names: &["table5"], build: Grid(|g, _, s| table5_report(g, s)) },
+    Experiment { names: &["sec92"], build: Plain(|_, s| Ok(sec92_report(s))) },
+    Experiment { names: &["security"], build: Plain(|_, _| Ok(security_report())) },
+];
+
+/// Parses a flag value; the error quotes it, so `--ops garbage` names both.
+fn parse<T: FromStr>(raw: &str) -> Result<T, String> {
+    raw.parse().map_err(|_| format!("'{raw}'"))
+}
+
+/// Parses a duration given in (possibly fractional) seconds.
+fn secs(raw: &str) -> Result<Duration, String> {
+    let secs: f64 = parse(raw)?;
     if !secs.is_finite() || secs < 0.0 {
-        return Err(format!(
-            "invalid value for {flag}: '{secs}' (want non-negative seconds)"
-        ));
+        return Err(format!("'{secs}' (want non-negative seconds)"));
     }
     Ok(Duration::from_secs_f64(secs))
 }
 
+/// Parses `--threat-model`'s value: a single model name or `both`. The
+/// security axis must never silently fall back to a default model.
+fn threat_models(raw: &str) -> Result<Vec<ThreatModel>, String> {
+    match raw {
+        "both" => Ok(ThreatModel::all().to_vec()),
+        one => one.parse().map(|m| vec![m]),
+    }
+}
+
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut spec = RunSpec::default();
-    let mut out = PathBuf::from("results");
-    let mut experiments = Vec::new();
-    let mut threat_models = ThreatModel::all().to_vec();
-    let mut sweep_spec = None;
-    let mut from_manifest = None;
-    let mut top = None;
-    let mut self_check = false;
-    let mut perturb_claim = None;
-    let mut no_trace_cache = false;
-    let mut resume = false;
-    let mut job_deadline = None;
-    let mut run_budget = None;
-    let mut faults = None;
-    let mut help = false;
-    let mut flags_given: Vec<&'static str> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ops" => {
-                spec.ops = flag_value("--ops", it.next())?;
-                flags_given.push("--ops");
-            }
-            "--seed" => {
-                spec.seed = flag_value("--seed", it.next())?;
-                flags_given.push("--seed");
-            }
-            "--out" => {
-                out = PathBuf::from(it.next().ok_or("--out requires a value")?);
-                flags_given.push("--out");
-            }
-            "--threat-model" => {
-                threat_models = parse_threat_models(it.next())?;
-                flags_given.push("--threat-model");
-            }
-            "--spec" => {
-                sweep_spec = Some(it.next().ok_or("--spec requires a value")?);
-                flags_given.push("--spec");
-            }
-            "--from-manifest" => {
-                from_manifest = Some(PathBuf::from(
-                    it.next().ok_or("--from-manifest requires a value")?,
-                ));
-                flags_given.push("--from-manifest");
-            }
-            "--top" => {
-                top = Some(flag_value("--top", it.next())?);
-                flags_given.push("--top");
-            }
-            "--self-check" => {
-                self_check = true;
-                flags_given.push("--self-check");
-            }
-            "--perturb-claim" => {
-                perturb_claim = Some(it.next().ok_or("--perturb-claim requires a value")?);
-                flags_given.push("--perturb-claim");
-            }
-            "--no-trace-cache" => {
-                no_trace_cache = true;
-                flags_given.push("--no-trace-cache");
-            }
-            "--resume" => {
-                resume = true;
-                flags_given.push("--resume");
-            }
-            "--job-deadline" => {
-                job_deadline = Some(secs_value("--job-deadline", it.next())?);
-                flags_given.push("--job-deadline");
-            }
-            "--run-budget" => {
-                run_budget = Some(secs_value("--run-budget", it.next())?);
-                flags_given.push("--run-budget");
-            }
-            "--inject-faults" => {
-                let spec = it.next().ok_or("--inject-faults requires a value")?;
-                faults = Some(
-                    FaultPlan::parse(&spec)
-                        .map_err(|e| format!("invalid value for --inject-faults: {e}"))?,
-                );
-                flags_given.push("--inject-faults");
-            }
-            "--help" | "-h" => {
-                help = true;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}"));
-            }
-            other => {
-                if other == "import" {
-                    // `import` is dispatched before parse_args ever runs;
-                    // reaching here means it was not the first argument.
-                    return Err(format!("'{other}' must be the first argument"));
-                }
-                if !EXPERIMENT_NAMES.contains(&other) && !SUBCOMMANDS.contains(&other) {
-                    return Err(format!(
-                        "unknown experiment '{other}' (expected one of: {} — or a \
-                         subcommand: {})",
-                        EXPERIMENT_NAMES.join(" "),
-                        SUBCOMMANDS.join(", ")
-                    ));
-                }
-                experiments.push(other.to_string());
-            }
-        }
+    let mut a = Args {
+        out: PathBuf::from("results"),
+        threat_models: ThreatModel::all().to_vec(),
+        ..Args::default()
+    };
+    let mut it = args.into_iter().peekable();
+    if it.next_if(|first| first == "import").is_some() {
+        a.command = Import;
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_string());
-    }
-    // A subcommand runs alone and accepts only its own flags: `sweep
-    // table1` would silently drop table1, and `verify-security --ops N`
-    // would silently ignore --ops — both violate the same
-    // no-silent-defaults contract as flag typos.
-    for &sub in SUBCOMMANDS {
-        if !experiments.iter().any(|e| e == sub) {
-            continue;
-        }
-        if experiments.len() > 1 {
+    let mut given: Vec<&Flag> = Vec::new();
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            a.help = true;
+        } else if arg.starts_with('-') {
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == arg)
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            match flag.takes {
+                Nothing(set) => set(&mut a),
+                Value(set) => {
+                    let value = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
+                    set(&mut a, &value).map_err(|why| format!("invalid value for {arg}: {why}"))?;
+                }
+            }
+            given.push(flag);
+        } else if a.command == Import {
+            if a.trace_file.replace(PathBuf::from(arg)).is_some() {
+                return Err("'import' takes exactly one trace file".into());
+            }
+        } else if arg == "import" {
+            return Err("'import' must be the first argument".into());
+        } else if arg == "all"
+            || EXPERIMENTS.iter().any(|x| x.names.contains(&arg.as_str()))
+            || Command::ANYWHERE.iter().any(|c| c.name() == arg)
+        {
+            a.experiments.push(arg);
+        } else {
+            let names: Vec<&str> = std::iter::once("all")
+                .chain(EXPERIMENTS.iter().flat_map(|x| x.names.iter().copied()))
+                .collect();
+            let subs: Vec<&str> = Command::ANYWHERE.iter().map(|c| c.name()).collect();
             return Err(format!(
-                "'{sub}' is a subcommand and cannot be combined with other \
-                 experiments (got: {})",
-                experiments.join(" ")
-            ));
-        }
-        let accepted: &[&str] = match sub {
-            // sweep has the full grid machinery: job layer, both caches,
-            // resume — plus its own spec/manifest/top flags.
-            "sweep" => &[
-                "--spec",
-                "--from-manifest",
-                "--top",
-                "--out",
-                "--ops",
-                "--seed",
-                "--no-trace-cache",
-                "--resume",
-                "--job-deadline",
-                "--run-budget",
-                "--inject-faults",
-            ],
-            // analyze-security is pure computation: no job layer, no
-            // caches — only the model axis, the output dir and its own
-            // audit controls.
-            "analyze-security" => &["--out", "--threat-model", "--self-check", "--perturb-claim"],
-            // verify-security runs on the job layer but has no stats
-            // store, so --resume stays rejected.
-            _ => &[
-                "--out",
-                "--threat-model",
-                "--job-deadline",
-                "--run-budget",
-                "--inject-faults",
-            ],
-        };
-        if let Some(rejected) = flags_given.iter().find(|f| !accepted.contains(f)) {
-            return Err(format!(
-                "{rejected} has no effect with '{sub}' (accepted flags: {})",
-                accepted.join(" ")
+                "unknown experiment '{arg}' (expected one of: {} — or a subcommand: {})",
+                names.join(" "),
+                subs.join(", ")
             ));
         }
     }
-    // The converse holds too: a flag owned by one subcommand is rejected
-    // when that subcommand is absent — `security --threat-model
-    // futuristic` would otherwise run the plain flush+reload experiment
-    // under the default model with the axis silently dropped.
-    if !experiments
-        .iter()
-        .any(|e| SUBCOMMANDS.contains(&e.as_str()))
-    {
-        for (flag, owner) in [
-            ("--threat-model", "verify-security"),
-            ("--spec", "sweep"),
-            ("--from-manifest", "sweep"),
-            ("--top", "sweep"),
-            ("--self-check", "analyze-security"),
-            ("--perturb-claim", "analyze-security"),
-        ] {
-            if flags_given.contains(&flag) {
+    if a.command != Import {
+        if a.experiments.is_empty() {
+            a.experiments.push("all".to_string());
+        }
+        let named = |c: &Command| a.experiments.iter().any(|e| e == c.name());
+        if let Some(sub) = Command::ANYWHERE.into_iter().find(named) {
+            if a.experiments.len() > 1 {
                 return Err(format!(
-                    "{flag} only applies to the '{owner}' subcommand (got: {})",
-                    experiments.join(" ")
+                    "'{}' is a subcommand and cannot be combined with other experiments \
+                     (got: {})",
+                    sub.name(),
+                    a.experiments.join(" ")
                 ));
             }
+            a.command = sub;
         }
     }
-    // --perturb-claim is the audit's negative-path smoke: it only makes
-    // sense alongside --self-check, the mode whose job is to prove the
-    // audit machinery trips.
-    if perturb_claim.is_some() && !self_check {
+    if let Some(flag) = given.iter().find(|f| !f.owners.contains(&a.command)) {
+        return Err(match a.command {
+            Run => format!(
+                "{} only applies to the '{}' subcommand (got: {})",
+                flag.name,
+                flag.owners[0].name(),
+                a.experiments.join(" ")
+            ),
+            sub => {
+                let accepted: Vec<&str> = FLAGS
+                    .iter()
+                    .filter(|f| f.owners.contains(&sub))
+                    .map(|f| f.name)
+                    .collect();
+                format!(
+                    "{} has no effect with '{}' (accepted flags: {})",
+                    flag.name,
+                    sub.name(),
+                    accepted.join(" ")
+                )
+            }
+        });
+    }
+    // Relations between flags, as opposed to ownership. --perturb-claim is
+    // the audit's negative-path smoke: it only makes sense alongside
+    // --self-check, the mode whose job is to prove the audit trips.
+    if a.perturb_claim.is_some() && !a.self_check {
         return Err(
             "--perturb-claim requires --self-check (it deliberately corrupts a \
                     claim to prove the audit fails)"
                 .into(),
         );
     }
-    // The sweep's inputs are mutually exclusive ways of naming the same
-    // run: a manifest *is* the spec+ops+seed bundle, so combining it with
-    // any of them would silently reproduce something else.
-    if experiments.iter().any(|e| e == "sweep") {
-        match (&sweep_spec, &from_manifest) {
+    // The sweep's inputs name the same run two ways: a manifest *is* the
+    // spec+ops+seed bundle, so combining it with any of them would
+    // silently reproduce something else.
+    if a.command == Sweep {
+        match (&a.sweep_spec, &a.from_manifest) {
             (Some(_), Some(_)) => {
                 return Err("--spec and --from-manifest are mutually exclusive".into())
             }
-            (None, None) => {
-                return Err("'sweep' requires --spec or --from-manifest".into());
-            }
+            (None, None) => return Err("'sweep' requires --spec or --from-manifest".into()),
             (None, Some(_)) => {
-                for flag in ["--ops", "--seed"] {
-                    if flags_given.contains(&flag) {
-                        return Err(format!(
-                            "{flag} conflicts with --from-manifest (the manifest records \
-                             its own parameters)"
-                        ));
-                    }
+                let overridden = ["--ops", "--seed"]
+                    .into_iter()
+                    .find(|name| given.iter().any(|f| f.name == *name));
+                if let Some(name) = overridden {
+                    return Err(format!(
+                        "{name} conflicts with --from-manifest (the manifest records its own \
+                         parameters)"
+                    ));
                 }
             }
             (Some(_), None) => {}
         }
     }
-    Ok(Args {
-        spec,
-        out,
-        experiments,
-        threat_models,
-        sweep_spec,
-        from_manifest,
-        top,
-        self_check,
-        perturb_claim,
-        no_trace_cache,
-        resume,
-        job_deadline,
-        run_budget,
-        faults,
-        help,
-    })
+    if a.command == Import && a.trace_file.is_none() && !a.help {
+        return Err("'import' requires a trace file (e.g. assets/sample-trace.sbtr)".into());
+    }
+    Ok(a)
+}
+
+/// Reports a usage error and exits 2, the code of every malformed
+/// invocation.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Creates `out`, writes every report's CSVs into it, and says where.
+fn write_reports<'a>(out: &Path, reports: impl IntoIterator<Item = &'a Report>) {
+    std::fs::create_dir_all(out).expect("create output dir");
+    for report in reports {
+        for (name, csv) in &report.csv {
+            std::fs::write(out.join(name), csv).expect("write csv");
+        }
+    }
+    eprintln!("CSV written to {}", out.display());
 }
 
 /// Builds the job policy from the CLI flags, resolving the fault plan:
@@ -432,59 +442,46 @@ fn job_policy(args: &Args) -> Result<JobPolicy, String> {
     })
 }
 
+/// The threat models of a security run, as `spectre+futuristic`.
+fn model_list(args: &Args) -> String {
+    let names: Vec<String> = args.threat_models.iter().map(ToString::to_string).collect();
+    names.join("+")
+}
+
 /// The `verify-security` subcommand: leak matrix + hard verdict.
-fn run_verify_security(args: &Args, policy: &JobPolicy) {
-    let models = args
-        .threat_models
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("+");
+fn run_verify_security(args: &Args, policy: &JobPolicy) -> bool {
     eprintln!(
-        "verifying security: 11-scenario attack battery x 4 schemes x 2 schedulers x {models}..."
+        "verifying security: 11-scenario attack battery x 4 schemes x 2 schedulers x {}...",
+        model_list(args)
     );
     let verdict = verify_security_with(&args.threat_models, policy);
     let report = security_matrix_report(&verdict);
     println!("{}", report.text);
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    for (name, csv) in &report.csv {
-        std::fs::write(args.out.join(name), csv).expect("write csv");
-    }
-    eprintln!("CSV written to {}", args.out.display());
-    if !verdict.ok {
-        std::process::exit(1);
-    }
+    write_reports(&args.out, [&report]);
+    verdict.ok
 }
 
 /// The `analyze-security` subcommand: the static must/may matrix plus the
 /// claims audit — zero cycles simulated.
-fn run_analyze_security(args: &Args) {
-    let models = args
-        .threat_models
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("+");
+fn run_analyze_security(args: &Args) -> bool {
     eprintln!(
-        "analyzing security statically: 11-scenario attack battery x 4 schemes x {models}, \
-         zero simulations..."
+        "analyzing security statically: 11-scenario attack battery x 4 schemes x {}, \
+         zero simulations...",
+        model_list(args)
     );
     let mut battery = sb_workloads::attack_battery(BATTERY_SECRET);
     if let Some(scenario) = &args.perturb_claim {
         if !perturb_battery_claim(&mut battery, scenario) {
-            eprintln!("error: --perturb-claim: no battery scenario named '{scenario}'");
-            std::process::exit(2);
+            usage_error(&format!(
+                "--perturb-claim: no battery scenario named '{scenario}'"
+            ));
         }
         eprintln!("perturbed the '{scenario}' claim constants: this run must now fail");
     }
     let verdict = analyze_battery(&battery, &args.threat_models);
     let report = static_matrix_report(&verdict);
     println!("{}", report.text);
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    for (name, csv) in &report.csv {
-        std::fs::write(args.out.join(name), csv).expect("write csv");
-    }
-    eprintln!("CSV written to {}", args.out.display());
+    write_reports(&args.out, [&report]);
     let mut ok = verdict.ok;
     if args.self_check {
         let audit = extended_claims_audit();
@@ -506,38 +503,30 @@ fn run_analyze_security(args: &Args) {
             ok = false;
         }
     }
-    if !ok {
-        std::process::exit(1);
-    }
+    ok
 }
 
 /// The `sweep` subcommand: expand the spec (or re-load it from a
 /// manifest), run every design point over the memoized job layer, and
 /// write the ranked leaderboard plus the reproduction manifest.
-fn run_sweep_command(args: &Args, policy: &JobPolicy) {
-    let parse_fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    };
+fn run_sweep_command(args: &Args, policy: &JobPolicy) -> bool {
     let (spec, run) = match &args.from_manifest {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                parse_fail(format!("cannot read manifest {}: {e}", path.display()))
+                usage_error(&format!("cannot read manifest {}: {e}", path.display()))
             });
             let params = parse_manifest(&text)
-                .unwrap_or_else(|e| parse_fail(format!("{}: {e}", path.display())));
-            (
-                params.spec,
-                RunSpec {
-                    ops: params.ops,
-                    seed: params.seed,
-                },
-            )
+                .unwrap_or_else(|e| usage_error(&format!("{}: {e}", path.display())));
+            let run = RunSpec {
+                ops: params.ops,
+                seed: params.seed,
+            };
+            (params.spec, run)
         }
         None => {
             let raw = args.sweep_spec.as_deref().expect("enforced at parse");
             let spec = SweepSpec::parse(raw)
-                .unwrap_or_else(|e| parse_fail(format!("invalid --spec: {e}")));
+                .unwrap_or_else(|e| usage_error(&format!("invalid --spec: {e}")));
             (spec, args.spec.clone())
         }
     };
@@ -545,7 +534,7 @@ fn run_sweep_command(args: &Args, policy: &JobPolicy) {
     // cross-product explosion) is still a parse error, not a late abort.
     let points = spec
         .points()
-        .unwrap_or_else(|e| parse_fail(format!("invalid sweep: {e}")));
+        .unwrap_or_else(|e| usage_error(&format!("invalid sweep: {e}")));
     eprintln!(
         "running sweep: {} points x {} replicates x 22 benchmarks, {} uops each{}...",
         points.len(),
@@ -558,10 +547,8 @@ fn run_sweep_command(args: &Args, policy: &JobPolicy) {
         resume: args.resume,
         ..RunOptions::default()
     };
-    let outcome = match run_sweep(&spec, &run, &opts) {
-        Ok(outcome) => outcome,
-        Err(e) => parse_fail(format!("invalid sweep: {e}")),
-    };
+    let outcome = run_sweep(&spec, &run, &opts)
+        .unwrap_or_else(|e| usage_error(&format!("invalid sweep: {e}")));
     eprintln!(
         "sweep: {} simulated, {} from cache, {} of {} failed",
         outcome.report.simulated,
@@ -588,117 +575,42 @@ fn run_sweep_command(args: &Args, policy: &JobPolicy) {
     );
     if !outcome.report.ok() {
         eprintln!("run degraded: rerun with --resume to fill in the missing points");
-        std::process::exit(1);
     }
+    outcome.report.ok()
 }
 
 /// The `import` subcommand: decode an external SBTR trace file, run it
 /// under both schedulers (they must agree), print the summary.
-fn run_import_command(rest: &[String]) -> ! {
-    let mut file: Option<PathBuf> = None;
-    let mut scheme = Scheme::Baseline;
-    let mut it = rest.iter().cloned();
-    let parse_fail = |e: String| -> ! {
-        eprintln!("error: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scheme" => {
-                let Some(name) = it.next() else {
-                    parse_fail("--scheme requires a value".into());
-                };
-                scheme = match name.as_str() {
-                    "baseline" => Scheme::Baseline,
-                    "stt-rename" => Scheme::SttRename,
-                    "stt-issue" => Scheme::SttIssue,
-                    "nda" => Scheme::Nda,
-                    other => parse_fail(format!(
-                        "unknown scheme '{other}' (expected baseline, stt-rename, \
-                         stt-issue or nda)"
-                    )),
-                };
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => {
-                parse_fail(format!("unknown 'import' argument {other}"));
-            }
-            other => {
-                if file.is_some() {
-                    parse_fail("'import' takes exactly one trace file".into());
-                }
-                file = Some(PathBuf::from(other));
-            }
-        }
-    }
-    let Some(file) = file else {
-        parse_fail("'import' requires a trace file (e.g. assets/sample-trace.sbtr)".into());
-    };
-    match sb_experiments::import::import_report(&file, scheme) {
+fn run_import(args: &Args) -> bool {
+    let file = args.trace_file.as_deref().expect("enforced at parse");
+    match sb_experiments::import::import_report(file, args.scheme) {
         Ok(report) => {
             print!("{report}");
-            std::process::exit(0);
+            true
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            false
         }
     }
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("import") {
-        run_import_command(&raw[1..]);
-    }
-    let args = match parse_args(raw) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if args.help {
-        println!("{USAGE}");
-        return;
-    }
-    if args.no_trace_cache {
-        std::env::set_var(sb_workloads::TRACE_CACHE_ENV, "0");
-    }
-    let policy = match job_policy(&args) {
-        Ok(policy) => policy,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if args.experiments.iter().any(|e| e == "verify-security") {
-        run_verify_security(&args, &policy);
-        return;
-    }
-    if args.experiments.iter().any(|e| e == "analyze-security") {
-        run_analyze_security(&args);
-        return;
-    }
-    if args.experiments.iter().any(|e| e == "sweep") {
-        run_sweep_command(&args, &policy);
-        return;
-    }
-    let all = args.experiments.iter().any(|e| e == "all");
-    let wants = |name: &str| all || args.experiments.iter().any(|e| e == name);
+/// The experiments `names` select, each once and in `all`'s order.
+fn select(names: &[String]) -> Vec<&'static Experiment> {
+    let all = names.iter().any(|n| n == "all");
+    EXPERIMENTS
+        .iter()
+        .filter(|x| all || x.names.iter().any(|n| names.iter().any(|e| e == n)))
+        .collect()
+}
 
-    let needs_grid = [
-        "table1", "fig6", "fig7", "fig8", "fig10", "table3", "fig1", "table5",
-    ]
-    .iter()
-    .any(|e| wants(e));
+/// The experiment run: simulate the grid if a selected report needs it,
+/// then build, print and write every selected report.
+fn run_experiments(args: &Args, policy: &JobPolicy) -> bool {
+    let selected = select(&args.experiments);
     let mut degraded = false;
     let configs = CoreConfig::boom_sweep();
+    let needs_grid = selected.iter().any(|x| matches!(x.build, Grid(_)));
     let grid: Option<GridResults> = needs_grid.then(|| {
         eprintln!(
             "running grid: 4 configs x 4 schemes x 22 benchmarks, {} uops each{}...",
@@ -724,65 +636,64 @@ fn main() {
         }
         grid
     });
-    let grid = grid.as_ref();
 
     // Each report renders independently: a grid degraded by failed jobs
     // takes down only the reports whose data is missing; the rest still
     // print and write their CSVs.
     let mut reports: Vec<Report> = Vec::new();
     let mut report_errors: Vec<String> = Vec::new();
-    let mut push = |name: &str, r: Result<Report, ExperimentError>| match r {
-        Ok(report) => reports.push(report),
-        Err(e) => report_errors.push(format!("{name}: {e}")),
-    };
-    if wants("table1") {
-        push("table1", table1_report(grid.expect("grid"), &configs));
-    }
-    if wants("fig6") {
-        push("fig6", fig6_report(grid.expect("grid")));
-    }
-    if wants("fig7") {
-        push("fig7", fig7_report(grid.expect("grid")));
-    }
-    if wants("fig8") {
-        push("fig8", fig8_report(grid.expect("grid")));
-    }
-    if wants("fig9") {
-        push("fig9", fig9_report(&configs));
-    }
-    if wants("fig10") {
-        push("fig10", fig10_report(grid.expect("grid"), &configs));
-    }
-    if wants("table3") || wants("fig1") {
-        push("table3", fig1_table3_report(grid.expect("grid"), &configs));
-    }
-    if wants("table4") {
-        push("table4", Ok(table4_report(&args.spec)));
-    }
-    if wants("table5") {
-        push("table5", table5_report(grid.expect("grid"), &args.spec));
-    }
-    if wants("sec92") {
-        push("sec92", Ok(sec92_report(&args.spec)));
-    }
-    if wants("security") {
-        push("security", Ok(security_report()));
-    }
-
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    for r in &reports {
-        println!("{}\n", r.text);
-        for (name, csv) in &r.csv {
-            let path = args.out.join(name);
-            std::fs::write(&path, csv).expect("write csv");
+    for x in selected {
+        let built = match x.build {
+            Grid(build) => build(
+                grid.as_ref().expect("simulated for grid reports"),
+                &configs,
+                &args.spec,
+            ),
+            Plain(build) => build(&configs, &args.spec),
+        };
+        match built {
+            Ok(report) => reports.push(report),
+            Err(e) => report_errors.push(format!("{}: {e}", x.names[0])),
         }
     }
-    eprintln!("CSV written to {}", args.out.display());
+    for r in &reports {
+        println!("{}\n", r.text);
+    }
+    write_reports(&args.out, &reports);
     for e in &report_errors {
         eprintln!("report skipped: {e}");
     }
     if degraded || !report_errors.is_empty() {
         eprintln!("run degraded: rerun with --resume to fill in the missing points");
+        return false;
+    }
+    true
+}
+
+fn main() {
+    let args = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| usage_error(&format!("{e}\n{USAGE}")));
+    if args.help {
+        println!("{USAGE}");
+        return;
+    }
+    let ok = match args.command {
+        Import => run_import(&args),
+        command => {
+            if args.no_trace_cache {
+                std::env::set_var(sb_workloads::TRACE_CACHE_ENV, "0");
+            }
+            let policy = job_policy(&args).unwrap_or_else(|e| usage_error(&e));
+            match command {
+                VerifySecurity => run_verify_security(&args, &policy),
+                AnalyzeSecurity => run_analyze_security(&args),
+                Sweep => run_sweep_command(&args, &policy),
+                Run => run_experiments(&args, &policy),
+                Import => unreachable!("handled by the outer match"),
+            }
+        }
+    };
+    if !ok {
         std::process::exit(1);
     }
 }
@@ -1198,5 +1109,88 @@ mod tests {
         let a = parse(&["--inject-faults", "overrun@1"]).unwrap();
         let policy = job_policy(&a).unwrap();
         assert!(policy.faults.unwrap().overruns_at(1));
+    }
+
+    #[test]
+    fn import_parses_through_the_same_table() {
+        let a = parse(&["import", "t.sbtr", "--scheme", "nda"]).unwrap();
+        assert_eq!(a.command, Command::Import);
+        assert_eq!(a.trace_file, Some(PathBuf::from("t.sbtr")));
+        assert_eq!(a.scheme, Scheme::Nda);
+        let a = parse(&["import", "--scheme", "stt-issue", "t.sbtr"]).unwrap();
+        assert_eq!(a.scheme, Scheme::SttIssue);
+        assert_eq!(
+            parse(&["import", "t.sbtr"]).unwrap().scheme,
+            Scheme::Baseline
+        );
+    }
+
+    #[test]
+    fn import_argument_errors_are_returned() {
+        let err = parse(&["import"]).unwrap_err();
+        assert!(err.contains("'import' requires a trace file"), "{err}");
+        let err = parse(&["import", "a.sbtr", "b.sbtr"]).unwrap_err();
+        assert!(err.contains("exactly one trace file"), "{err}");
+        let err = parse(&["import", "a.sbtr", "--scheme", "fast"]).unwrap_err();
+        assert!(err.contains("--scheme") && err.contains("'fast'"), "{err}");
+        assert!(err.contains("stt-rename"), "lists the valid names: {err}");
+        let err = parse(&["import", "a.sbtr", "--scheme"]).unwrap_err();
+        assert!(err.contains("--scheme requires a value"), "{err}");
+        let err = parse(&["import", "a.sbtr", "--frobnicate"]).unwrap_err();
+        assert!(err.contains("unknown flag --frobnicate"), "{err}");
+        let err = parse(&["import", "a.sbtr", "--ops", "5"]).unwrap_err();
+        assert!(err.contains("--ops") && err.contains("'import'"), "{err}");
+        assert!(parse(&["import", "--help"]).unwrap().help);
+        assert!(parse(&["import", "-h"]).unwrap().help);
+        // The import-only flag is rejected everywhere else.
+        let err = parse(&["--scheme", "nda"]).unwrap_err();
+        assert!(
+            err.contains("--scheme") && err.contains("'import'"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn usage_lists_each_flag_under_exactly_its_owners() {
+        let synopsis = USAGE.split("\nsweep spec:").next().unwrap();
+        let sections: Vec<&str> = synopsis.split("\nor: ").collect();
+        assert_eq!(sections.len(), 5, "{synopsis}");
+        for section in sections {
+            let command = [Sweep, VerifySecurity, AnalyzeSecurity, Import]
+                .into_iter()
+                .find(|c| section.starts_with(&format!("sb-experiments {} ", c.name())))
+                .unwrap_or(Run);
+            for flag in FLAGS {
+                assert_eq!(
+                    section.contains(flag.name),
+                    flag.owners.contains(&command),
+                    "{} in the '{}' synopsis",
+                    flag.name,
+                    command.name()
+                );
+            }
+        }
+        let listed: Vec<&str> = USAGE
+            .lines()
+            .find_map(|l| l.strip_prefix("experiments: "))
+            .unwrap()
+            .split(' ')
+            .collect();
+        for name in EXPERIMENTS.iter().flat_map(|x| x.names) {
+            assert!(listed.contains(name), "{name} missing from the usage text");
+        }
+        assert!(listed.contains(&"all"));
+    }
+
+    #[test]
+    fn fig1_is_an_alias_that_selects_table3_once() {
+        let names = |args: &[&str]| -> Vec<&str> {
+            let a = parse(args).unwrap();
+            select(&a.experiments).iter().map(|x| x.names[0]).collect()
+        };
+        assert_eq!(names(&["fig1"]), ["table3"]);
+        assert_eq!(names(&["table3", "fig1"]), ["table3"]);
+        assert_eq!(names(&["sec92", "table1"]), ["table1", "sec92"]);
+        assert_eq!(names(&[]).len(), EXPERIMENTS.len());
     }
 }

@@ -561,7 +561,7 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
         "vs NDA".into(),
     ]];
     let mut csv = String::from("scheme,ipc,fwd_errors\n");
-    let mut nda_errors = 1u64;
+    let mut nda_errors = 0;
     let mut entries = Vec::new();
     for scheme in [
         Scheme::Baseline,
@@ -571,7 +571,7 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
     ] {
         let (row, stats) = run_bench(&mega, scheme, &exchange2, spec);
         if scheme == Scheme::Nda {
-            nda_errors = stats.forwarding_errors.get().max(1);
+            nda_errors = stats.forwarding_errors.get();
         }
         entries.push((scheme, row.ipc(), stats.forwarding_errors.get()));
     }
@@ -580,7 +580,7 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
             scheme.label().to_string(),
             format!("{ipc:.3}"),
             errs.to_string(),
-            format!("{:.0}x", *errs as f64 / nda_errors as f64),
+            times_nda(*errs, nda_errors),
         ]);
         csv.push_str(&format!("{scheme},{ipc:.4},{errs}\n"));
     }
@@ -595,7 +595,7 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
         "STT-Rename+split".to_string(),
         format!("{:.3}", split.stats().ipc()),
         split_errs.to_string(),
-        format!("{:.0}x", split_errs as f64 / nda_errors as f64),
+        times_nda(split_errs, nda_errors),
     ]);
     csv.push_str(&format!(
         "stt-rename-split,{:.4},{split_errs}\n",
@@ -609,6 +609,16 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
     Report {
         text,
         csv: vec![("sec92.csv".into(), csv)],
+    }
+}
+
+/// §9.2's "vs NDA" cell: `errs` as a multiple of NDA's count, or `-` when
+/// NDA recorded none and there is no ratio to print.
+fn times_nda(errs: u64, nda_errors: u64) -> String {
+    if nda_errors == 0 {
+        "-".into()
+    } else {
+        format!("{:.0}x", errs as f64 / nda_errors as f64)
     }
 }
 
@@ -807,6 +817,14 @@ mod tests {
                 scheme: Scheme::Baseline,
             }
         );
+    }
+
+    #[test]
+    fn a_zero_nda_forwarding_count_renders_no_ratio() {
+        assert_eq!(times_nda(0, 0), "-");
+        assert_eq!(times_nda(1350, 0), "-");
+        assert_eq!(times_nda(2700, 2), "1350x");
+        assert_eq!(times_nda(0, 3), "0x");
     }
 
     #[test]

@@ -370,35 +370,87 @@ impl CoreConfig {
         h
     }
 
-    /// Validates internal consistency.
+    /// The one validity rule for a configuration: every resource the
+    /// pipeline sizes from it is usable, and the cache and predictor
+    /// geometries can be indexed by mask.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any resource is zero, or there are too few physical
-    /// registers to rename a full ROB of destinations.
-    pub fn validate(&self) {
-        assert!(self.width > 0, "width must be positive");
-        assert!(self.mem_ports > 0, "need at least one memory port");
-        assert!(self.rob_entries >= self.width, "ROB must fit one group");
-        assert!(self.iq_entries > 0 && self.lq_entries > 0 && self.sq_entries > 0);
-        assert!(
+    /// [`ConfigError`] naming the first violated constraint: a zero-sized
+    /// resource, a ROB narrower than one rename group, too few physical
+    /// registers to rename a full group past the architectural state, a
+    /// cache with a non-power-of-two set count or line size or no ways, or
+    /// an enabled predictor with non-power-of-two tables or a GHR wider
+    /// than 32 bits.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        macro_rules! ensure {
+            ($holds:expr, $($why:tt)+) => {
+                if !$holds {
+                    return Err(ConfigError(format!($($why)+)));
+                }
+            };
+        }
+        ensure!(self.width > 0, "width must be positive");
+        ensure!(self.mem_ports > 0, "need at least one memory port");
+        ensure!(
+            self.rob_entries >= self.width,
+            "ROB must fit one full rename group (rob >= width)"
+        );
+        ensure!(
+            self.iq_entries > 0 && self.lq_entries > 0 && self.sq_entries > 0,
+            "issue/load/store queues must be non-empty"
+        );
+        ensure!(
             self.phys_regs >= sb_isa::NUM_ARCH_REGS + self.width,
             "physical registers must cover architectural state plus rename headroom"
         );
-        assert!(self.max_br_tags > 0, "need at least one branch tag");
+        ensure!(self.max_br_tags > 0, "need at least one branch tag");
+        for (label, cache) in [("l1", &self.hierarchy.l1d), ("l2", &self.hierarchy.l2)] {
+            let (sets, line) = (cache.sets, cache.line_bytes);
+            ensure!(
+                sets.is_power_of_two(),
+                "{label} sets must be a power of two, got {sets}"
+            );
+            ensure!(
+                line.is_power_of_two(),
+                "{label} line size must be a power of two, got {line}"
+            );
+            ensure!(cache.ways > 0, "{label} needs at least one way");
+        }
         if self.predictor.enabled {
-            assert!(
-                self.predictor.pht_entries.is_power_of_two()
-                    && self.predictor.btb_entries.is_power_of_two(),
+            let p = &self.predictor;
+            ensure!(
+                p.pht_entries.is_power_of_two() && p.btb_entries.is_power_of_two(),
                 "predictor table sizes must be powers of two"
             );
-            assert!(
-                self.predictor.ghr_bits <= 32,
-                "GHR wider than 32 bits is unsupported"
-            );
+            ensure!(p.ghr_bits <= 32, "GHR wider than 32 bits is unsupported");
+        }
+        Ok(())
+    }
+
+    /// Asserts [`CoreConfig::check`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the check's message if the configuration is invalid.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("invalid core configuration {}: {e}", self.name);
         }
     }
 }
+
+/// Why a [`CoreConfig`] cannot be simulated (see [`CoreConfig::check`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl fmt::Display for CoreConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -548,6 +600,58 @@ mod tests {
         let mut c = CoreConfig::mega();
         c.predictor.pht_entries = 48; // harmless while disabled
         c.validate();
+    }
+
+    #[test]
+    fn check_rejects_every_broken_field_and_core_new_panics_on_it() {
+        let mega = CoreConfig::mega;
+        let mut broken: Vec<(&str, CoreConfig)> = Vec::new();
+        let mut add = |what: &'static str, edit: fn(&mut CoreConfig)| {
+            let mut c = mega();
+            edit(&mut c);
+            broken.push((what, c));
+        };
+        add("width 0", |c| c.width = 0);
+        add("mem ports 0", |c| c.mem_ports = 0);
+        add("rob < width", |c| c.rob_entries = c.width - 1);
+        add("iq 0", |c| c.iq_entries = 0);
+        add("lq 0", |c| c.lq_entries = 0);
+        add("sq 0", |c| c.sq_entries = 0);
+        add("phys regs", |c| {
+            c.phys_regs = sb_isa::NUM_ARCH_REGS + c.width - 1;
+        });
+        add("br tags 0", |c| c.max_br_tags = 0);
+        add("l1 sets 0", |c| c.hierarchy.l1d.sets = 0);
+        add("l1 sets 48", |c| c.hierarchy.l1d.sets = 48);
+        add("l2 sets 0", |c| c.hierarchy.l2.sets = 0);
+        add("l2 sets 48", |c| c.hierarchy.l2.sets = 48);
+        add("l1 line 48", |c| c.hierarchy.l1d.line_bytes = 48);
+        add("l1 ways 0", |c| c.hierarchy.l1d.ways = 0);
+        add("l2 ways 0", |c| c.hierarchy.l2.ways = 0);
+        add("pht 48", |c| {
+            c.predictor = PredictorConfig::enabled(48, 16, 0);
+        });
+        add("btb 24", |c| {
+            c.predictor = PredictorConfig::enabled(64, 24, 0);
+        });
+        add("ghr 33", |c| {
+            c.predictor = PredictorConfig::enabled(64, 16, 33);
+        });
+        let trace = || sb_isa::TraceBuilder::new("empty").build();
+        for (what, c) in broken {
+            assert!(c.check().is_err(), "{what}: check accepted it");
+            let sc = c.scheme_config(Scheme::Baseline);
+            let built = std::panic::catch_unwind(move || crate::Core::new(c, sc, trace()));
+            assert!(built.is_err(), "{what}: Core::new accepted it");
+        }
+        let presets = CoreConfig::boom_sweep()
+            .into_iter()
+            .chain([CoreConfig::gem5_stt(), CoreConfig::gem5_nda()]);
+        for c in presets {
+            assert_eq!(c.check(), Ok(()), "{}", c.name);
+            let sc = c.scheme_config(Scheme::Baseline);
+            let _core = crate::Core::new(c, sc, trace());
+        }
     }
 
     #[test]

@@ -44,7 +44,9 @@ mod sched;
 
 pub use crate::core::Core;
 pub use cancel::{CancelToken, CANCEL_POLL_CYCLES};
-pub use config::{CoreConfig, Fidelity, PredictorConfig, SchedulerKind, SIM_RESULTS_REVISION};
+pub use config::{
+    ConfigError, CoreConfig, Fidelity, PredictorConfig, SchedulerKind, SIM_RESULTS_REVISION,
+};
 pub use frontend::{Fetched, Frontend};
 pub use inst::{ColdInst, HotInst, Phase};
 pub use memdep::MemDepPredictor;
