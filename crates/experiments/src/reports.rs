@@ -836,6 +836,40 @@ mod tests {
     }
 
     #[test]
+    fn security_report_output_is_pinned() {
+        let r = security_report();
+        assert_eq!(
+            r.text,
+            "Security: transient-leak verification (baseline must leak; all \
+             secure schemes must block — §7's BOOM-attacks check)\n\
+             Kernel          Scheme  Leaked?  Recovered\n\
+             ------------------------------------------\n\
+             spectre-v1    Baseline   LEAKED   Some(11)\n\
+             spectre-v1  STT-Rename  blocked       None\n\
+             spectre-v1   STT-Issue  blocked       None\n\
+             spectre-v1         NDA  blocked       None\n\
+             ssb           Baseline   LEAKED   Some(11)\n\
+             ssb         STT-Rename  blocked       None\n\
+             ssb          STT-Issue  blocked       None\n\
+             ssb                NDA  blocked       None\n"
+        );
+        assert_eq!(r.csv.len(), 1);
+        assert_eq!(r.csv[0].0, "security.csv");
+        assert_eq!(
+            r.csv[0].1,
+            "kernel,scheme,leaked,recovered\n\
+             spectre-v1,Baseline,true,Some(11)\n\
+             spectre-v1,STT-Rename,false,None\n\
+             spectre-v1,STT-Issue,false,None\n\
+             spectre-v1,NDA,false,None\n\
+             ssb,Baseline,true,Some(11)\n\
+             ssb,STT-Rename,false,None\n\
+             ssb,STT-Issue,false,None\n\
+             ssb,NDA,false,None\n"
+        );
+    }
+
+    #[test]
     #[ignore = "several seconds; run with --ignored or the binary"]
     fn full_reports_render() {
         let grid = tiny_grid();
