@@ -9,7 +9,7 @@
 //! design points share their cache entries.
 
 use super::spec::{SpecError, SweepPoint, SweepSpec};
-use crate::engine::{bench_seed, run_points, PointJob, RunReport, RunSpec, TraceSlot};
+use crate::engine::{bench_row, bench_seed, run_points, PointJob, RunReport, RunSpec, TraceSlot};
 use crate::stats_store::{combine_fp, tag_fp};
 use crate::RunOptions;
 use sb_core::{Scheme, ThreatModel};
@@ -149,7 +149,12 @@ pub fn run_sweep(
             fingerprint: point_fingerprint(&p.config, p.scheme, p.threat),
             replicates: rows
                 .chunks(n_b)
-                .map(|rep| rep.iter().filter_map(Clone::clone).collect())
+                .map(|rep| {
+                    rep.iter()
+                        .zip(&profiles)
+                        .filter_map(|(s, p)| Some(bench_row(p.name, s.as_ref()?)))
+                        .collect()
+                })
                 .collect(),
         })
         .collect();

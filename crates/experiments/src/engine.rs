@@ -1,20 +1,20 @@
 //! The run grid: simulate every (config, scheme, benchmark) point, with
 //! deterministic seeding, over the fault-tolerant job layer — and the one
-//! memoized point runner the grid and the design-space sweep share.
+//! memoized point runner the grid, the design-space sweep and the report
+//! builders share.
 //!
 //! All grid points are flattened into one job list (configs × schemes ×
 //! benchmarks) so the pool stays saturated end-to-end instead of
-//! serializing on (config, scheme) suite boundaries. [`run_grid_with`]
-//! and [`crate::dse::run_sweep`] only build their jobs, labels and
-//! stats-store keys; `run_points` runs them. Each point runs as a
-//! [`crate::jobs`] job: panics are isolated, per-job deadlines and the
-//! global run budget are enforced cooperatively through the core's cancel
-//! token, and every completed point's `SimStats` is persisted to the
-//! [`crate::stats_store::StatsStore`] so `--resume` re-simulates only the
-//! missing points.
+//! serializing on (config, scheme) suite boundaries. [`run_grid_with`],
+//! [`crate::dse::run_sweep`] and the report builders (table 4, table 5's
+//! gem5 rows, §9.2) only build their jobs, labels and stats-store keys;
+//! `run_points` runs them. Each point runs as a [`crate::jobs`] job:
+//! panics are isolated, per-job deadlines and the global run budget are
+//! enforced cooperatively through the core's cancel token, and with a
+//! [`crate::stats_store::StatsStore`] every completed point's `SimStats`
+//! is persisted so `--resume` re-simulates only the missing points.
 
 use crate::jobs::{self, JobCtx, JobError, JobFailure, JobPolicy};
-use crate::pool;
 use crate::stats_store::{combine_fp, tag_fp, StatsStore};
 use sb_core::{Scheme, SchemeConfig};
 use sb_isa::Trace;
@@ -111,23 +111,10 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// Runs one benchmark on one (config, scheme) point; returns the suite row
-/// and the full statistics.
-#[must_use]
-pub fn run_bench(
-    config: &CoreConfig,
-    scheme: Scheme,
-    profile: &WorkloadProfile,
-    spec: &RunSpec,
-) -> (BenchResult, SimStats) {
-    let trace = bench_trace(profile, spec);
-    run_bench_on_trace(config, scheme, profile, trace)
-}
-
-/// The deterministic trace `run_bench` simulates for `profile` under
-/// `spec` (exposed so the grid can generate each benchmark's trace once
-/// and share it across every (config, scheme) point). Backed by the
-/// persistent trace store: repeated CLI invocations and benches load the
+/// The deterministic trace every grid point simulates for `profile` under
+/// `spec`: each benchmark's trace is generated once and shared by every
+/// (config, scheme) point, the report builders' extra points included.
+/// Backed by the persistent trace store: repeated CLI invocations load the
 /// serialized trace instead of regenerating (disable or redirect via
 /// [`sb_workloads::TRACE_CACHE_ENV`]). Caching cannot change results — the
 /// store validates checksums and falls back to regeneration, and the
@@ -145,43 +132,9 @@ pub(crate) fn bench_seed(profile: &WorkloadProfile, spec: &RunSpec) -> u64 {
     spec.seed ^ sb_isa::fnv::hash_str(profile.name)
 }
 
-/// [`run_bench`] on a pre-generated trace.
-///
-/// # Panics
-///
-/// Panics when the benchmark does not finish within the cycle safety
-/// valve. Grid runs go through the job layer instead
-/// ([`run_grid_with`]), where the same condition is a typed job failure.
-#[must_use]
-pub fn run_bench_on_trace(
-    config: &CoreConfig,
-    scheme: Scheme,
-    profile: &WorkloadProfile,
-    trace: sb_isa::Trace,
-) -> (BenchResult, SimStats) {
-    let mut core = Core::with_scheme(config.clone(), scheme, trace);
-    core.run(MAX_CYCLES);
-    assert!(
-        core.is_done(),
-        "{} on {} ({scheme}) did not finish",
-        profile.name,
-        config.name
-    );
-    let stats = core.stats().clone();
-    (
-        BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get()),
-        stats,
-    )
-}
-
-/// Runs the full 22-benchmark suite on one (config, scheme) point over the
-/// bounded worker pool (previously: one unbounded OS thread per benchmark).
-#[must_use]
-pub fn run_suite(config: &CoreConfig, scheme: Scheme, spec: &RunSpec) -> Vec<BenchResult> {
-    let profiles = spec2017_profiles();
-    pool::run_indexed(profiles.len(), pool::default_workers(), |i| {
-        run_bench(config, scheme, &profiles[i], spec).0
-    })
+/// A benchmark's suite row: its committed micro-ops and cycles.
+pub(crate) fn bench_row(name: &str, stats: &SimStats) -> BenchResult {
+    BenchResult::new(name, stats.committed.get(), stats.cycles.get())
 }
 
 /// All suite results for a set of configurations and schemes. Suites may
@@ -314,6 +267,19 @@ impl Default for RunOptions {
     }
 }
 
+impl RunOptions {
+    /// The report builders' options: the default job policy and no stats
+    /// store, so their points always simulate and never touch the cache.
+    pub(crate) fn storeless() -> Self {
+        RunOptions {
+            policy: JobPolicy::default(),
+            resume: false,
+            store: None,
+            progress: None,
+        }
+    }
+}
+
 /// What a grid run did: how much was simulated versus served from the
 /// stats store, and every per-job failure.
 #[derive(Clone, Debug)]
@@ -361,18 +327,19 @@ pub(crate) struct TraceSlot<'a> {
     pub seed: u64,
 }
 
-/// The memoized point runner behind [`run_grid_with`] and
-/// [`crate::dse::run_sweep`]: runs every job over the fault-tolerant job
-/// layer, serving it from the stats store on `--resume`, otherwise
-/// simulating it and saving its `SimStats`. Returns one row per job (in
-/// job order; `None` for failed jobs) and the run report.
+/// The memoized point runner behind every simulation `sb-experiments`
+/// runs — the grid, the sweep and the report builders: runs every job over
+/// the fault-tolerant job layer, serving it from the stats store on
+/// `--resume`, otherwise simulating it and saving its `SimStats`. Returns
+/// each job's statistics (in job order; `None` for failed jobs) and the
+/// run report.
 pub(crate) fn run_points(
     labels: &[String],
     batch: &[PointJob<'_>],
     slots: &[TraceSlot<'_>],
     ops: usize,
     opts: &RunOptions,
-) -> (Vec<Option<BenchResult>>, RunReport) {
+) -> (Vec<Option<SimStats>>, RunReport) {
     // Generate each slot's trace once, on first use, and clone it per run
     // (a memcpy, far cheaper than regeneration). On a fully-cached resume
     // every slot stays empty and zero traces are generated.
@@ -392,14 +359,11 @@ pub(crate) fn run_points(
     let report = jobs::run_batch(labels, &opts.policy, |ctx| {
         let job = &batch[ctx.index];
         let TraceSlot { profile, seed } = slots[job.slot];
-        let row = |stats: &SimStats| {
-            BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get())
-        };
         if opts.resume {
             if let Some(store) = &opts.store {
                 if let Some(stats) = store.load(profile.name, ops, seed, job.fp) {
                     settle(&from_cache);
-                    return Ok(row(&stats));
+                    return Ok(stats);
                 }
             }
         }
@@ -418,7 +382,7 @@ pub(crate) fn run_points(
                 }
             }
         }
-        Ok(row(&stats))
+        Ok(stats)
     });
     let run_report = RunReport {
         simulated: simulated.into_inner(),
@@ -456,8 +420,9 @@ fn simulate(
 
 /// Runs the whole grid under explicit execution options: every scheme on
 /// every given configuration, flattened into one job list run by the
-/// memoized point runner it shares with the sweep. Returns the (possibly partial) grid plus a run report
-/// of cache hits, simulations, and per-job failures.
+/// memoized point runner it shares with the sweep. Returns the (possibly
+/// partial) grid plus a run report of cache hits, simulations, and per-job
+/// failures.
 #[must_use]
 pub fn run_grid_with(
     configs: &[CoreConfig],
@@ -468,6 +433,17 @@ pub fn run_grid_with(
         .iter()
         .flat_map(|c| Scheme::all().into_iter().map(move |s| (c, s)))
         .collect();
+    run_suites(&points, spec, opts)
+}
+
+/// Runs the full benchmark suite on each `(config, scheme)` point as one
+/// batch of [`run_points`] jobs and collects the suites into a
+/// [`GridResults`] (a failed job leaves its suite incomplete).
+pub(crate) fn run_suites(
+    points: &[(&CoreConfig, Scheme)],
+    spec: &RunSpec,
+    opts: &RunOptions,
+) -> (GridResults, RunReport) {
     let profiles = spec2017_profiles();
     // Each benchmark's trace is identical across all (config, scheme)
     // points: one slot per benchmark.
@@ -480,7 +456,7 @@ pub fn run_grid_with(
         .collect();
     let mut labels = Vec::with_capacity(points.len() * profiles.len());
     let mut batch = Vec::with_capacity(labels.capacity());
-    for &(config, scheme) in &points {
+    for &(config, scheme) in points {
         for (slot, profile) in profiles.iter().enumerate() {
             labels.push(format!("{}/{}/{}", config.name, scheme, profile.name));
             batch.push(PointJob {
@@ -496,23 +472,64 @@ pub fn run_grid_with(
         }
     }
     let (results, run_report) = run_points(&labels, &batch, &slots, spec.ops, opts);
-    // Unique config names in run order (a repeated config is listed once).
-    let mut config_names: Vec<String> = Vec::new();
-    for config in configs {
-        if !config_names.iter().any(|n| n == config.name) {
-            config_names.push(config.name.to_string());
-        }
-    }
     let mut grid = GridResults {
-        suites: HashMap::new(),
-        configs: config_names,
         benchmarks: profiles.len(),
+        ..GridResults::default()
     };
-    for (rows, (config, scheme)) in results.chunks(profiles.len()).zip(&points) {
-        let rows: Vec<BenchResult> = rows.iter().filter_map(Clone::clone).collect();
-        grid.suites.insert((config.name.to_string(), *scheme), rows);
+    for (stats, &(config, scheme)) in results.chunks(profiles.len()).zip(points) {
+        // Unique config names in run order (a repeated config is listed once).
+        if !grid.configs.iter().any(|n| n == config.name) {
+            grid.configs.push(config.name.to_string());
+        }
+        let rows: Vec<BenchResult> = stats
+            .iter()
+            .zip(&profiles)
+            .filter_map(|(s, p)| Some(bench_row(p.name, s.as_ref()?)))
+            .collect();
+        grid.suites.insert((config.name.to_string(), scheme), rows);
     }
     (grid, run_report)
+}
+
+/// Simulates each `(config, scheme configuration, benchmark)` point on the
+/// benchmark's grid trace in one storeless [`run_points`] batch — the
+/// report builders' extra points, whose traces the trace store already
+/// holds after a grid run.
+///
+/// # Panics
+///
+/// Panics if any point fails: the reports built from these points have no
+/// partial form.
+pub(crate) fn run_report_points(
+    points: &[(&CoreConfig, SchemeConfig, &WorkloadProfile)],
+    spec: &RunSpec,
+) -> Vec<SimStats> {
+    let mut slots: Vec<TraceSlot> = Vec::new();
+    let mut labels = Vec::with_capacity(points.len());
+    let mut batch = Vec::with_capacity(points.len());
+    for &(config, scheme, profile) in points {
+        let slot = match slots.iter().position(|s| s.profile.name == profile.name) {
+            Some(slot) => slot,
+            None => {
+                slots.push(TraceSlot {
+                    profile,
+                    seed: bench_seed(profile, spec),
+                });
+                slots.len() - 1
+            }
+        };
+        labels.push(format!("{}/{}/{}", config.name, scheme.scheme, profile.name));
+        // Storeless: the key is never used.
+        batch.push(PointJob {
+            config,
+            scheme,
+            slot,
+            fp: 0,
+        });
+    }
+    let (stats, report) = run_points(&labels, &batch, &slots, spec.ops, &RunOptions::storeless());
+    assert!(report.ok(), "report points failed:\n{}", report.render_failures());
+    stats.into_iter().flatten().collect()
 }
 
 /// Runs the whole grid with default options (no resume, default policy,
@@ -567,19 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn run_bench_completes_and_reports() {
-        let p = spec2017_profiles();
-        let (row, stats) = run_bench(&CoreConfig::medium(), Scheme::Baseline, &p[0], &tiny());
-        assert_eq!(row.instructions, 3_000);
-        assert!(row.cycles > 0);
-        assert_eq!(stats.committed.get(), 3_000);
-    }
-
-    #[test]
     fn suite_covers_all_benchmarks() {
-        let rows = run_suite(&CoreConfig::small(), Scheme::Nda, &tiny());
+        let small = CoreConfig::small();
+        let (grid, report) = run_suites(&[(&small, Scheme::Nda)], &tiny(), &RunOptions::storeless());
+        assert_eq!((report.simulated, report.total), (22, 22));
+        assert_eq!(grid.configs(), ["small".to_string()]);
+        let rows = grid.suite("small", Scheme::Nda).unwrap();
         assert_eq!(rows.len(), 22);
-        assert!(rows.iter().all(|r| r.cycles > 0));
+        assert!(rows.iter().all(|r| r.instructions == 3_000 && r.cycles > 0));
     }
 
     #[test]
@@ -702,10 +714,8 @@ mod tests {
     #[test]
     fn disabled_store_still_runs_and_counts_nothing_cached() {
         let opts = RunOptions {
-            policy: JobPolicy::default(),
             resume: true, // resume with no store is a clean no-op
-            store: None,
-            progress: None,
+            ..RunOptions::storeless()
         };
         let (grid, report) = run_grid_with(&[CoreConfig::small()], &tiny(), &opts);
         assert!(report.ok());

@@ -24,8 +24,8 @@ pub use analyze::{
     static_matrix_report, ExtendedAudit, StaticCell, StaticVerdict,
 };
 pub use engine::{
-    bench_trace, run_bench, run_bench_on_trace, run_grid, run_grid_with, run_suite,
-    ExperimentError, GridResults, ProgressSink, RunOptions, RunReport, RunSpec,
+    bench_trace, run_grid, run_grid_with, ExperimentError, GridResults, ProgressSink, RunOptions,
+    RunReport, RunSpec,
 };
 pub use faults::{FaultPlan, FAULT_ENV};
 pub use jobs::{BatchReport, JobCtx, JobError, JobFailure, JobPolicy};

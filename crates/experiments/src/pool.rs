@@ -10,11 +10,9 @@
 //! Panic isolation: every job body runs under `catch_unwind`, so one
 //! panicking job can neither poison another job's result slot nor discard
 //! the batch's finished work. [`run_indexed_outcomes`] returns one
-//! `Result` per slot naming the failing job's index;
-//! [`run_indexed`] keeps the historical propagate-first-panic contract on
-//! top of it (and now names the job index in the propagated message).
-//! The structured fault handling (deadlines, budget, failure reports)
-//! lives one layer up in [`crate::jobs`].
+//! `Result` per slot naming the failing job's index. The structured fault
+//! handling (deadlines, budget, failure reports) lives one layer up in
+//! [`crate::jobs`].
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,55 +118,35 @@ where
         .collect()
 }
 
-/// Runs `f(0..n)` across at most `workers` scoped threads, returning the
-/// results in index order.
-///
-/// # Panics
-///
-/// Propagates the first (lowest-index) panicking job after all workers
-/// join, naming the job index. Callers that need to keep surviving
-/// results use [`run_indexed_outcomes`] (or the structured layer in
-/// [`crate::jobs`]) instead.
-pub fn run_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n);
-    let mut first_failure: Option<JobPanic> = None;
-    for outcome in run_indexed_outcomes(n, workers, f) {
-        match outcome {
-            Ok(t) => out.push(t),
-            Err(e) => first_failure = first_failure.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_failure {
-        panic!("{e}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The successful results of a batch in which no job panics.
+    fn values<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_indexed_outcomes(n, workers, f)
+            .into_iter()
+            .map(|r| r.expect("no job panics"))
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
-        let out = run_indexed(100, 8, |i| i * 3);
+        let out = values(100, 8, |i| i * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out: Vec<u32> = run_indexed(0, 4, |_| unreachable!("no jobs"));
+        let out: Vec<u32> = values(0, 4, |_| unreachable!("no jobs"));
         assert!(out.is_empty());
     }
 
     #[test]
     fn worker_count_is_clamped() {
         // More workers than jobs, and a requested width of zero, both work.
-        assert_eq!(run_indexed(3, 64, |i| i), vec![0, 1, 2]);
-        assert_eq!(run_indexed(3, 0, |i| i), vec![0, 1, 2]);
+        assert_eq!(values(3, 64, |i| i), vec![0, 1, 2]);
+        assert_eq!(values(3, 0, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -202,18 +180,6 @@ mod tests {
     fn string_payload_panics_are_preserved() {
         let out = run_indexed_outcomes(1, 1, |_| -> usize { panic!("msg {}", 42) });
         assert_eq!(out[0].as_ref().unwrap_err().message, "msg 42");
-    }
-
-    #[test]
-    fn run_indexed_names_the_lowest_failing_index() {
-        let caught = std::panic::catch_unwind(|| {
-            run_indexed(10, 2, |i| {
-                assert!(i != 3 && i != 8, "boom at {i}");
-                i
-            })
-        });
-        let msg = panic_message(caught.unwrap_err().as_ref());
-        assert!(msg.contains("job 3"), "{msg}");
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! visible at a glance. Every report also emits CSV for downstream
 //! plotting.
 
-use crate::engine::{run_bench, ExperimentError, GridResults, RunSpec};
+use crate::engine::{
+    run_report_points, run_suites, ExperimentError, GridResults, RunOptions, RunSpec,
+};
 use crate::render::{bar, format_table};
-use sb_core::{Scheme, SchemeConfig};
-use sb_mem::SideChannelObserver;
+use crate::security::{verify_security, BATTERY_SECRET};
+use sb_core::{Scheme, ThreatModel};
 use sb_stats::{LinearFit, TrendPoint};
 use sb_timing::{area_estimate, frequency_mhz, relative_power, relative_timing, ActivityProfile};
-use sb_uarch::{Core, CoreConfig};
-use sb_workloads::{spec2017_profiles, spectre_v1_kernel, ssb_kernel, PROBE_BASE, PROBE_STRIDE};
+use sb_uarch::CoreConfig;
+use sb_workloads::{spec2017_profiles, WorkloadProfile};
 
 /// A rendered experiment: human-readable text plus named CSV payloads.
 #[derive(Debug, Clone)]
@@ -35,6 +37,14 @@ fn paper_ipc(name: &str) -> Option<f64> {
         "mega" => Some(1.27),
         _ => None,
     }
+}
+
+/// The SPEC2017 profile named `name`.
+fn profile(name: &str) -> WorkloadProfile {
+    spec2017_profiles()
+        .into_iter()
+        .find(|p| p.name == name)
+        .expect("a SPEC2017 profile name")
 }
 
 /// Maps a degenerate least-squares fit to the typed per-report error the
@@ -429,16 +439,23 @@ pub fn table4_report(spec: &RunSpec) -> Report {
     let mut csv = String::from("scheme,lut_rel,ff_rel,power_rel\n");
     // Measured activity on a representative benchmark mix refines the
     // typical per-scheme activity profile.
-    let profiles = spec2017_profiles();
-    let mix = [&profiles[3], &profiles[15], &profiles[18]]; // mcf, imagick, exchange2
-    for (scheme, (pl, pf, pp)) in Scheme::secure().into_iter().zip(paper) {
+    let mix = ["505.mcf", "538.imagick", "548.exchange2"].map(profile);
+    let mut points = Vec::new();
+    for scheme in Scheme::secure() {
+        points.extend(mix.iter().map(|p| (&mega, mega.scheme_config(scheme), p)));
+    }
+    let stats = run_report_points(&points, spec);
+    for ((scheme, (pl, pf, pp)), mix_stats) in Scheme::secure()
+        .into_iter()
+        .zip(paper)
+        .zip(stats.chunks(mix.len()))
+    {
         let (l, f) = area_estimate(&mega, scheme).relative_to(&base_area);
         let mut act = ActivityProfile::typical(scheme);
-        let mut measured = 0.0;
-        for p in mix {
-            let (_, stats) = run_bench(&mega, scheme, p, spec);
-            measured += ActivityProfile::from_stats(&stats).issue_rate;
-        }
+        let measured: f64 = mix_stats
+            .iter()
+            .map(|s| ActivityProfile::from_stats(s).issue_rate)
+            .sum();
         act.issue_rate = 0.5 * act.issue_rate + 0.5 * (measured / mix.len() as f64).min(1.2);
         let p = relative_power(&mega, scheme, &act);
         rows.push(vec![
@@ -501,19 +518,19 @@ pub fn table5_report(grid: &GridResults, spec: &RunSpec) -> Result<Report, Exper
         ));
     }
     // gem5-like rows: abstract fidelity, the original papers' configs.
+    let (gem5_stt, gem5_nda) = (CoreConfig::gem5_stt(), CoreConfig::gem5_nda());
     let gem5_points = [
-        (
-            CoreConfig::gem5_stt(),
-            Scheme::SttRename,
-            17.2,
-            "gem5 (STT cfg)",
-        ),
-        (CoreConfig::gem5_nda(), Scheme::Nda, 13.0, "gem5 (NDA cfg)"),
+        (&gem5_stt, Scheme::SttRename, 17.2, "gem5 (STT cfg)"),
+        (&gem5_nda, Scheme::Nda, 13.0, "gem5 (NDA cfg)"),
     ];
+    let suites: Vec<(&CoreConfig, Scheme)> = gem5_points
+        .iter()
+        .flat_map(|&(config, scheme, ..)| [(config, Scheme::Baseline), (config, scheme)])
+        .collect();
+    // A failed job leaves its suite incomplete, which `summary` reports.
+    let (gem5, _) = run_suites(&suites, spec, &RunOptions::storeless());
     for (config, scheme, paper_loss, label) in gem5_points {
-        let base = crate::engine::run_suite(&config, Scheme::Baseline, spec);
-        let sch = crate::engine::run_suite(&config, scheme, spec);
-        let summary = sb_stats::SuiteSummary::new(base, sch);
+        let summary = gem5.summary(config.name, scheme)?;
         let ipc = summary.baseline_ipc();
         let loss = summary.ipc_loss_percent();
         rows.push(vec![
@@ -546,14 +563,28 @@ pub fn table5_report(grid: &GridResults, spec: &RunSpec) -> Result<Report, Exper
 }
 
 /// §9.2: the exchange2 pathology — store-to-load forwarding errors per
-/// scheme, and the split-store-taint ablation.
+/// scheme, and the split-store-taint ablation, all on the grid's exchange2
+/// trace.
 #[must_use]
 pub fn sec92_report(spec: &RunSpec) -> Report {
     let mega = CoreConfig::mega();
-    let exchange2 = *spec2017_profiles()
+    let exchange2 = profile("548.exchange2");
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::Nda,
+        Scheme::SttIssue,
+        Scheme::SttRename,
+    ];
+    let mut points: Vec<_> = schemes
         .iter()
-        .find(|p| p.name.contains("exchange2"))
-        .expect("profile exists");
+        .map(|&s| (&mega, mega.scheme_config(s), &exchange2))
+        .collect();
+    // Ablation: §9.2's proposed split-store optimization for STT-Rename.
+    let mut split = mega.scheme_config(Scheme::SttRename);
+    split.split_store_taints = true;
+    points.push((&mega, split, &exchange2));
+    let stats = run_report_points(&points, spec);
+    let nda_errors = stats[1].forwarding_errors.get();
     let mut rows = vec![vec![
         "Scheme".to_string(),
         "IPC".into(),
@@ -561,46 +592,20 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
         "vs NDA".into(),
     ]];
     let mut csv = String::from("scheme,ipc,fwd_errors\n");
-    let mut nda_errors = 0;
-    let mut entries = Vec::new();
-    for scheme in [
-        Scheme::Baseline,
-        Scheme::Nda,
-        Scheme::SttIssue,
-        Scheme::SttRename,
-    ] {
-        let (row, stats) = run_bench(&mega, scheme, &exchange2, spec);
-        if scheme == Scheme::Nda {
-            nda_errors = stats.forwarding_errors.get();
-        }
-        entries.push((scheme, row.ipc(), stats.forwarding_errors.get()));
-    }
-    for (scheme, ipc, errs) in &entries {
+    let names = schemes
+        .iter()
+        .map(|s| (s.label().to_string(), s.to_string()))
+        .chain([("STT-Rename+split".into(), "stt-rename-split".into())]);
+    for ((label, key), s) in names.zip(&stats) {
+        let (ipc, errs) = (s.ipc(), s.forwarding_errors.get());
         rows.push(vec![
-            scheme.label().to_string(),
+            label,
             format!("{ipc:.3}"),
             errs.to_string(),
-            times_nda(*errs, nda_errors),
+            times_nda(errs, nda_errors),
         ]);
-        csv.push_str(&format!("{scheme},{ipc:.4},{errs}\n"));
+        csv.push_str(&format!("{key},{ipc:.4},{errs}\n"));
     }
-    // Ablation: §9.2's proposed split-store optimization for STT-Rename.
-    let mut cfg92 = SchemeConfig::rtl(Scheme::SttRename, mega.mem_ports);
-    cfg92.split_store_taints = true;
-    let trace = sb_workloads::generate(&exchange2, spec.ops, spec.seed ^ 0x9292);
-    let mut split = Core::new(mega, cfg92, trace);
-    split.run(400_000_000);
-    let split_errs = split.stats().forwarding_errors.get();
-    rows.push(vec![
-        "STT-Rename+split".to_string(),
-        format!("{:.3}", split.stats().ipc()),
-        split_errs.to_string(),
-        times_nda(split_errs, nda_errors),
-    ]);
-    csv.push_str(&format!(
-        "stt-rename-split,{:.4},{split_errs}\n",
-        split.stats().ipc()
-    ));
     let text = format!(
         "Section 9.2: exchange2 store-to-load forwarding errors (paper: \
          STT-Rename has ~1350x NDA's count; NDA IPC 1.77 vs STT-Rename 1.44)\n{}",
@@ -622,9 +627,23 @@ fn times_nda(errs: u64, nda_errors: u64) -> String {
     }
 }
 
-/// §7's security check: Spectre v1 and SSB kernels across all schemes.
+/// §7's security check: the Spectre v1 and SSB cells of the attack-battery
+/// judge ([`verify_security`]) under the Spectre threat model, one row per
+/// scheme. `Recovered` is the probe slot the event-wheel run leaked when it
+/// leaked exactly one (`None` otherwise); a row leaked when that slot is
+/// the battery's secret.
+///
+/// # Panics
+///
+/// Panics if a battery cell fails to run.
 #[must_use]
 pub fn security_report() -> Report {
+    let verdict = verify_security(&[ThreatModel::Spectre]);
+    assert!(
+        verdict.job_failures.is_empty(),
+        "security battery failed: {:?}",
+        verdict.job_failures
+    );
     let mut rows = vec![vec![
         "Kernel".to_string(),
         "Scheme".into(),
@@ -632,50 +651,26 @@ pub fn security_report() -> Report {
         "Recovered".into(),
     ]];
     let mut csv = String::from("kernel,scheme,leaked,recovered\n");
-    let observer = SideChannelObserver::new(PROBE_BASE, PROBE_STRIDE, 16);
-    for (kname, build) in [
-        (
-            "spectre-v1",
-            spectre_v1_kernel as fn(usize) -> sb_workloads::AttackKernel,
-        ),
-        ("ssb", ssb_kernel),
-    ] {
-        for scheme in Scheme::all() {
-            let kernel = build(11);
-            let mut core = Core::with_scheme(CoreConfig::mega(), scheme, kernel.trace);
-            observer.prime(core.memory_mut());
-            let recovered = if kname == "ssb" {
-                // SSB's transient window closes at the forwarding-error
-                // flush; probe at that instant. (The post-flush replay
-                // legitimately re-touches the literal address — a trace
-                // cannot re-steer it to the corrected value's slot — so
-                // the end state is not the leak signal here.)
-                while !core.is_done()
-                    && core.stats().forwarding_errors.get() == 0
-                    && core.cycle() < 1_000_000
-                {
-                    core.step();
-                }
-                observer.recover(core.memory())
+    for cell in verdict
+        .cells
+        .iter()
+        .filter(|c| c.scenario == "spectre-v1" || c.scenario == "ssb")
+    {
+        let slots = &cell.wheel.slots;
+        let recovered = slots.first().copied().filter(|_| slots.len() == 1);
+        let leaked = recovered == Some(BATTERY_SECRET);
+        let (kname, scheme) = (&cell.scenario, cell.scheme);
+        rows.push(vec![
+            kname.clone(),
+            scheme.label().to_string(),
+            if leaked {
+                "LEAKED".into()
             } else {
-                // Spectre-v1's wrong path never replays: end state is the
-                // leak signal.
-                core.run_to_completion(1_000_000);
-                observer.recover(core.memory())
-            };
-            let leaked = recovered == Some(kernel.secret);
-            rows.push(vec![
-                kname.to_string(),
-                scheme.label().to_string(),
-                if leaked {
-                    "LEAKED".into()
-                } else {
-                    "blocked".into()
-                },
-                format!("{recovered:?}"),
-            ]);
-            csv.push_str(&format!("{kname},{scheme},{leaked},{recovered:?}\n"));
-        }
+                "blocked".into()
+            },
+            format!("{recovered:?}"),
+        ]);
+        csv.push_str(&format!("{kname},{scheme},{leaked},{recovered:?}\n"));
     }
     let text = format!(
         "Security: transient-leak verification (baseline must leak; all \
