@@ -179,7 +179,9 @@ impl Axis {
         }
     }
 
-    fn apply(self, config: &mut CoreConfig, v: usize) {
+    /// Sets this axis's knob of `config` to `v`, unchecked: the result may
+    /// fail [`CoreConfig::check`].
+    pub fn apply(self, config: &mut CoreConfig, v: usize) {
         match self {
             Axis::Rob => config.rob_entries = v,
             Axis::Width => config.width = v,

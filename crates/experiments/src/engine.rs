@@ -504,21 +504,18 @@ pub(crate) fn run_report_points(
     points: &[(&CoreConfig, SchemeConfig, &WorkloadProfile)],
     spec: &RunSpec,
 ) -> Vec<SimStats> {
-    let mut slots: Vec<TraceSlot> = Vec::new();
     let mut labels = Vec::with_capacity(points.len());
+    let mut slots = Vec::with_capacity(points.len());
     let mut batch = Vec::with_capacity(points.len());
-    for &(config, scheme, profile) in points {
-        let slot = match slots.iter().position(|s| s.profile.name == profile.name) {
-            Some(slot) => slot,
-            None => {
-                slots.push(TraceSlot {
-                    profile,
-                    seed: bench_seed(profile, spec),
-                });
-                slots.len() - 1
-            }
-        };
-        labels.push(format!("{}/{}/{}", config.name, scheme.scheme, profile.name));
+    for (slot, &(config, scheme, profile)) in points.iter().enumerate() {
+        labels.push(format!(
+            "{}/{}/{}",
+            config.name, scheme.scheme, profile.name
+        ));
+        slots.push(TraceSlot {
+            profile,
+            seed: bench_seed(profile, spec),
+        });
         // Storeless: the key is never used.
         batch.push(PointJob {
             config,
@@ -528,7 +525,11 @@ pub(crate) fn run_report_points(
         });
     }
     let (stats, report) = run_points(&labels, &batch, &slots, spec.ops, &RunOptions::storeless());
-    assert!(report.ok(), "report points failed:\n{}", report.render_failures());
+    assert!(
+        report.ok(),
+        "report points failed:\n{}",
+        report.render_failures()
+    );
     stats.into_iter().flatten().collect()
 }
 
@@ -586,7 +587,8 @@ mod tests {
     #[test]
     fn suite_covers_all_benchmarks() {
         let small = CoreConfig::small();
-        let (grid, report) = run_suites(&[(&small, Scheme::Nda)], &tiny(), &RunOptions::storeless());
+        let (grid, report) =
+            run_suites(&[(&small, Scheme::Nda)], &tiny(), &RunOptions::storeless());
         assert_eq!((report.simulated, report.total), (22, 22));
         assert_eq!(grid.configs(), ["small".to_string()]);
         let rows = grid.suite("small", Scheme::Nda).unwrap();

@@ -938,7 +938,7 @@ mod tests {
         );
         // Regression: plain experiment runs used to swallow the flag
         // silently — `security --threat-model futuristic` ran the
-        // flush+reload experiment under the default model.
+        // security experiment under the default model.
         let err = parse(&["security", "--threat-model", "futuristic"]).unwrap_err();
         assert!(
             err.contains("--threat-model") && err.contains("verify-security"),

@@ -2,11 +2,17 @@
 //! offline proptest shim): random sweep specifications must round-trip
 //! through their canonical form regardless of token order, and the
 //! percentile-bootstrap confidence interval must be deterministic per
-//! seed and bracket the sample mean within the sample range.
+//! seed and bracket the sample mean within the sample range. A bounded
+//! scheduler differential draws random configurations over the sweep axes
+//! and checks both schedulers agree and `check()` matches construction.
 
 use proptest::prelude::*;
-use sb_experiments::dse::{replicate_seed, SweepSpec};
+use sb_core::{Scheme, ThreatModel};
+use sb_experiments::dse::{replicate_seed, Axis, SweepSpec};
 use sb_stats::bootstrap_ci;
+use sb_uarch::{Core, PredictorConfig, SchedulerKind};
+use sb_workloads::{generate, spec2017_profiles};
+use std::panic::AssertUnwindSafe;
 
 const BASES: &[&str] = &["small", "medium", "large", "mega", "gem5-stt", "gem5-nda"];
 
@@ -175,5 +181,111 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Candidate values per sweep axis, in [`Axis::ALL`] order. Entry 0 is a
+/// value `CoreConfig::check` rejects: outright, or (ROB, physical
+/// registers) for a wide enough core. The prefetch axes have no invalid
+/// value; their entry 0 just disables the prefetcher.
+const AXIS_VALUES: [&[usize]; 14] = [
+    &[1, 8, 16, 32, 64, 96, 128, 192],
+    &[0, 1, 2, 3, 4, 6, 8],
+    &[0, 1, 2, 3, 4],
+    &[0, 4, 8, 16, 32, 64],
+    &[0, 4, 8, 16, 32, 48],
+    &[0, 4, 8, 16, 32, 40],
+    &[64, 72, 80, 96, 128, 192, 256],
+    &[0, 1, 4, 8, 16, 24],
+    &[48, 16, 32, 64, 128],
+    &[0, 1, 2, 4, 8],
+    &[384, 128, 256, 512, 1024],
+    &[0, 1, 4, 8, 16],
+    &[0, 1, 2, 4],
+    &[0, 1, 2, 4],
+];
+
+/// Predictor PHT entries, BTB entries and GHR bits; entry 0 is invalid.
+const PREDICTOR_VALUES: [&[usize]; 3] = [&[48, 64, 256, 1024], &[12, 16, 64], &[40, 0, 8, 16]];
+
+/// Draws entry `pick` of `values`, skipping the invalid entry 0 unless
+/// `risky`.
+fn draw(values: &[usize], pick: usize, risky: bool) -> usize {
+    if risky {
+        values[pick % values.len()]
+    } else {
+        values[1 + pick % (values.len() - 1)]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random configurations over every sweep axis plus the predictor, on
+    /// random profiles, schemes and threat models. In each case at most
+    /// one knob (`risky`: an axis, the predictor, or none) may take a
+    /// value `check()` rejects. `check()` and the sweep accept exactly the
+    /// configurations `Core::new` builds, and on every one of them the
+    /// event-wheel and reference schedulers produce identical `SimStats`.
+    #[test]
+    fn random_configs_schedule_identically_and_check_matches_construction(
+        point in (0usize..BASES.len(), 0usize..22, 0usize..4, 0usize..2),
+        picks in prop::collection::vec(0usize..1_000, 17..18),
+        risky in 0usize..16,
+        run in (100usize..401, 0u64..u64::MAX, any::<bool>()),
+    ) {
+        let (base, profile, scheme, threat) = point;
+        let (ops, seed, predictor) = run;
+        let mut config = SweepSpec::parse(&format!("base={}", BASES[base]))
+            .and_then(|s| s.configs())
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .remove(0);
+        let mut tokens = vec![format!("base={}", BASES[base])];
+        for (i, axis) in Axis::ALL.into_iter().enumerate() {
+            let v = draw(AXIS_VALUES[i], picks[i], risky == i);
+            axis.apply(&mut config, v);
+            tokens.push(format!("{}={v}", axis.key()));
+        }
+        let valid = config.check().is_ok();
+        let swept = SweepSpec::parse(&tokens.join(" "))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .configs();
+        prop_assert_eq!(swept.is_ok(), valid, "sweep and check() disagree on {:?}", tokens);
+        if predictor {
+            let [pht, btb, ghr] = [0, 1, 2].map(|k| draw(PREDICTOR_VALUES[k], picks[14 + k], risky == 14));
+            config.predictor = PredictorConfig::enabled(pht, btb, ghr as u32);
+        }
+        let valid = config.check().is_ok();
+        let profile = spec2017_profiles()[profile];
+        let trace = generate(&profile, ops, seed);
+        let scheme_cfg = config
+            .scheme_config(Scheme::all()[scheme])
+            .with_threat_model(ThreatModel::all()[threat]);
+        let build = |scheduler: SchedulerKind| {
+            let mut config = config.clone();
+            config.scheduler = scheduler;
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Core::new(config, scheme_cfg, trace.clone())
+            }))
+        };
+        let wheel = build(SchedulerKind::EventWheel);
+        prop_assert_eq!(wheel.is_ok(), valid, "check() and Core::new disagree on {:?}", config);
+        let Ok(mut wheel) = wheel else {
+            return Ok(());
+        };
+        let mut reference = build(SchedulerKind::Reference)
+            .map_err(|_| TestCaseError::fail(format!("Core::new panicked on {config:?}")))?;
+        for core in [&mut wheel, &mut reference] {
+            core.run(10_000_000);
+            prop_assert!(core.is_done(), "{} did not finish on {:?}", profile.name, config);
+        }
+        prop_assert_eq!(
+            wheel.stats(),
+            reference.stats(),
+            "schedulers diverge on {:?} ({}, {:?})",
+            config,
+            profile.name,
+            scheme_cfg
+        );
     }
 }
