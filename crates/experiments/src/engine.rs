@@ -734,10 +734,8 @@ mod tests {
             ProgressSink::new(move |k, n| events.lock().unwrap().push((k, n)))
         };
         let opts = RunOptions {
-            policy: JobPolicy::default(),
-            resume: false,
-            store: None,
             progress: Some(sink),
+            ..RunOptions::storeless()
         };
         let (grid, report) = run_grid_with(&[CoreConfig::small()], &tiny(), &opts);
         assert!(report.ok());

@@ -686,8 +686,7 @@ pub fn security_report() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_grid, run_grid_with, RunOptions};
-    use crate::jobs::JobPolicy;
+    use crate::engine::{run_grid, run_grid_with};
     use sb_stats::TrendError;
 
     fn tiny_grid() -> GridResults {
@@ -708,12 +707,7 @@ mod tests {
     /// A grid over an arbitrary config list, run without touching any
     /// persistent store.
     fn storeless_grid(configs: &[CoreConfig], ops: usize) -> GridResults {
-        let opts = RunOptions {
-            policy: JobPolicy::default(),
-            resume: false,
-            store: None,
-            progress: None,
-        };
+        let opts = RunOptions::storeless();
         let (grid, report) = run_grid_with(configs, &RunSpec { ops, seed: 3 }, &opts);
         assert!(report.ok(), "{}", report.render_failures());
         grid
