@@ -585,6 +585,19 @@ mod tests {
     }
 
     #[test]
+    fn run_bench_completes_and_reports() {
+        let p = spec2017_profiles();
+        let medium = CoreConfig::medium();
+        let point = (&medium, medium.scheme_config(Scheme::Baseline), &p[0]);
+        let stats = run_report_points(&[point], &tiny());
+        assert_eq!(stats.len(), 1);
+        let row = bench_row(p[0].name, &stats[0]);
+        assert_eq!(row.instructions, 3_000);
+        assert!(row.cycles > 0);
+        assert_eq!(stats[0].committed.get(), 3_000);
+    }
+
+    #[test]
     fn suite_covers_all_benchmarks() {
         let small = CoreConfig::small();
         let (grid, report) =
