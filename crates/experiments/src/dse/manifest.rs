@@ -189,6 +189,8 @@ mod tests {
                 from_cache: 0,
                 total: 0,
                 failures: vec![],
+                traces_decoded: 0,
+                peak_resident_traces: 0,
             },
             benchmarks: 22,
         }

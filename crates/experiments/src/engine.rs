@@ -13,6 +13,12 @@
 //! enforced cooperatively through the core's cancel token, and with a
 //! [`crate::stats_store::StatsStore`] every completed point's `SimStats`
 //! is persisted so `--resume` re-simulates only the missing points.
+//!
+//! Jobs run trace-major: every job on one trace before any job on the
+//! next. Each decoded trace is shared by its jobs' cores as an
+//! `Arc<Trace>` and dropped once its last job has it, so a batch holds
+//! about one trace per worker however many profiles and replicates it
+//! spans.
 
 use crate::jobs::{self, JobCtx, JobError, JobFailure, JobPolicy};
 use crate::stats_store::{combine_fp, tag_fp, StatsStore};
@@ -23,7 +29,7 @@ use sb_uarch::{Core, CoreConfig};
 use sb_workloads::{cached_generate, spec2017_profiles, WorkloadProfile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Safety valve: no benchmark may run longer than this many cycles.
 const MAX_CYCLES: u64 = 400_000_000;
@@ -292,6 +298,13 @@ pub struct RunReport {
     pub total: usize,
     /// Every failed job, in index order.
     pub failures: Vec<JobError>,
+    /// Traces decoded (loaded or generated) this run: at most one per
+    /// trace slot, none on a fully-cached resume.
+    pub traces_decoded: usize,
+    /// The most decoded traces resident at once during the run — about
+    /// one per worker, since jobs run trace-major and each trace is
+    /// dropped after its last job.
+    pub peak_resident_traces: usize,
 }
 
 impl RunReport {
@@ -327,12 +340,109 @@ pub(crate) struct TraceSlot<'a> {
     pub seed: u64,
 }
 
+/// The decoded traces of one batch, one cell per trace slot. A cell
+/// decodes its trace for the first job that needs it, lends it to each
+/// job as a shared [`Arc`], and lets go of it once every job of the slot
+/// has been served. The trace itself is freed when the last core using it
+/// is dropped.
+struct TraceCells<'s, 'a> {
+    slots: &'s [TraceSlot<'a>],
+    ops: usize,
+    cells: Vec<Mutex<TraceCell>>,
+    decoded: AtomicUsize,
+    /// Decoded traces not yet freed, and the most there ever were. A job
+    /// that panics mid-simulation skips its release, leaving the count
+    /// high, never low.
+    resident: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+struct TraceCell {
+    /// Jobs of this slot not yet served.
+    pending: usize,
+    trace: Option<Arc<Trace>>,
+}
+
+impl<'s, 'a> TraceCells<'s, 'a> {
+    fn new(slots: &'s [TraceSlot<'a>], batch: &[PointJob<'_>], ops: usize) -> Self {
+        let mut pending = vec![0; slots.len()];
+        for job in batch {
+            pending[job.slot] += 1;
+        }
+        TraceCells {
+            slots,
+            ops,
+            cells: pending
+                .into_iter()
+                .map(|pending| {
+                    Mutex::new(TraceCell {
+                        pending,
+                        trace: None,
+                    })
+                })
+                .collect(),
+            decoded: AtomicUsize::new(0),
+            resident: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    /// Serves one job of `slot`, returning the slot's trace when the job
+    /// needs it (`need`; a stats-store hit does not). The trace is decoded
+    /// only if it is not already resident, which — since a cell lets go
+    /// only after its last job — happens at most once per slot. A job
+    /// hands the trace back through [`TraceCells::release`].
+    fn serve(&self, slot: usize, need: bool) -> Option<Arc<Trace>> {
+        // Every update below leaves the cell valid, so a poisoned lock
+        // (a panicking decode) still hands back usable data.
+        let mut cell = self.cells[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        cell.pending -= 1;
+        let trace = need.then(|| {
+            Arc::clone(cell.trace.get_or_insert_with(|| {
+                let TraceSlot { profile, seed } = self.slots[slot];
+                let trace = Arc::new(cached_generate(profile, self.ops, seed));
+                self.decoded.fetch_add(1, Ordering::Relaxed);
+                let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
+                self.peak.fetch_max(now, Ordering::Relaxed);
+                trace
+            }))
+        });
+        if cell.pending == 0 {
+            self.release(cell.trace.take());
+        }
+        trace
+    }
+
+    /// Drops one reference to a decoded trace, counting the trace out
+    /// (before freeing it, so the count never runs ahead of memory) if it
+    /// was the last.
+    fn release(&self, trace: Option<Arc<Trace>>) {
+        if let Some(last) = trace.and_then(Arc::into_inner) {
+            self.resident.fetch_sub(1, Ordering::Relaxed);
+            drop(last);
+        }
+    }
+}
+
 /// The memoized point runner behind every simulation `sb-experiments`
 /// runs — the grid, the sweep and the report builders: runs every job over
 /// the fault-tolerant job layer, serving it from the stats store on
 /// `--resume`, otherwise simulating it and saving its `SimStats`. Returns
 /// each job's statistics (in job order; `None` for failed jobs) and the
 /// run report.
+///
+/// Jobs start trace-major (grouped by slot, in job order within a slot),
+/// so the workers finish one trace's jobs before moving to the next.
+/// Each slot's trace is decoded at most once, on first use, and shared by
+/// its jobs' cores; the slot drops it after serving its last job. So at
+/// most `workers + 1` traces are resident at once: one per running job
+/// plus the slot next in line. (A slot whose last job fails before it
+/// starts, to an injected panic or an exhausted budget, keeps its trace
+/// until the batch ends.) Job indices, labels, result
+/// order and fault-injection indices are unaffected by the order; which
+/// queued jobs an expiring run budget cancels is not.
 pub(crate) fn run_points(
     labels: &[String],
     batch: &[PointJob<'_>],
@@ -340,10 +450,10 @@ pub(crate) fn run_points(
     ops: usize,
     opts: &RunOptions,
 ) -> (Vec<Option<SimStats>>, RunReport) {
-    // Generate each slot's trace once, on first use, and clone it per run
-    // (a memcpy, far cheaper than regeneration). On a fully-cached resume
-    // every slot stays empty and zero traces are generated.
-    let traces: Vec<OnceLock<Trace>> = slots.iter().map(|_| OnceLock::new()).collect();
+    let mut order: Vec<usize> = (0..batch.len()).collect();
+    order.sort_by_key(|&i| batch[i].slot);
+    // On a fully-cached resume no job needs its trace: none is decoded.
+    let traces = TraceCells::new(slots, batch, ops);
     let simulated = AtomicUsize::new(0);
     let from_cache = AtomicUsize::new(0);
     // Failed points never settle, so progress is monotone but may end
@@ -356,21 +466,24 @@ pub(crate) fn run_points(
             sink.report(k, batch.len());
         }
     };
-    let report = jobs::run_batch(labels, &opts.policy, |ctx| {
+    let report = jobs::run_batch_in_order(labels, &order, &opts.policy, |ctx| {
         let job = &batch[ctx.index];
         let TraceSlot { profile, seed } = slots[job.slot];
         if opts.resume {
             if let Some(store) = &opts.store {
                 if let Some(stats) = store.load(profile.name, ops, seed, job.fp) {
+                    traces.serve(job.slot, false);
                     settle(&from_cache);
                     return Ok(stats);
                 }
             }
         }
-        let trace = traces[job.slot]
-            .get_or_init(|| cached_generate(profile, ops, seed))
-            .clone();
-        let stats = simulate(job.config, job.scheme, profile.name, trace, ctx)?;
+        let trace = traces.serve(job.slot, true);
+        let core_trace = Arc::clone(trace.as_ref().expect("served on request"));
+        let result = simulate(job.config, job.scheme, profile.name, core_trace, ctx);
+        // The core is gone: if this was the trace's last user, it is freed.
+        traces.release(trace);
+        let stats = result?;
         settle(&simulated);
         if let Some(store) = &opts.store {
             // A failed save is a cache bypass, never a run failure.
@@ -389,6 +502,8 @@ pub(crate) fn run_points(
         from_cache: from_cache.into_inner(),
         total: batch.len(),
         failures: report.failures,
+        traces_decoded: traces.decoded.into_inner(),
+        peak_resident_traces: traces.peak.into_inner(),
     };
     (report.results, run_report)
 }
@@ -400,7 +515,7 @@ fn simulate(
     config: &CoreConfig,
     scheme: SchemeConfig,
     name: &str,
-    trace: Trace,
+    trace: Arc<Trace>,
     ctx: &JobCtx,
 ) -> Result<SimStats, JobFailure> {
     let mut core = Core::new(config.clone(), scheme, trace);
@@ -494,7 +609,8 @@ pub(crate) fn run_suites(
 /// Simulates each `(config, scheme configuration, benchmark)` point on the
 /// benchmark's grid trace in one storeless [`run_points`] batch — the
 /// report builders' extra points, whose traces the trace store already
-/// holds after a grid run.
+/// holds after a grid run. Points on the same benchmark share one trace
+/// slot, so each trace is decoded once.
 ///
 /// # Panics
 ///
@@ -504,18 +620,41 @@ pub(crate) fn run_report_points(
     points: &[(&CoreConfig, SchemeConfig, &WorkloadProfile)],
     spec: &RunSpec,
 ) -> Vec<SimStats> {
+    let (labels, batch, slots) = report_batch(points, spec);
+    let (stats, report) = run_points(&labels, &batch, &slots, spec.ops, &RunOptions::storeless());
+    assert!(
+        report.ok(),
+        "report points failed:\n{}",
+        report.render_failures()
+    );
+    stats.into_iter().flatten().collect()
+}
+
+/// [`run_report_points`]' labels, jobs and trace slots: one slot per
+/// distinct `(profile, seed)`.
+fn report_batch<'a>(
+    points: &[(&'a CoreConfig, SchemeConfig, &'a WorkloadProfile)],
+    spec: &RunSpec,
+) -> (Vec<String>, Vec<PointJob<'a>>, Vec<TraceSlot<'a>>) {
     let mut labels = Vec::with_capacity(points.len());
-    let mut slots = Vec::with_capacity(points.len());
+    let mut slots: Vec<TraceSlot> = Vec::new();
     let mut batch = Vec::with_capacity(points.len());
-    for (slot, &(config, scheme, profile)) in points.iter().enumerate() {
+    for &(config, scheme, profile) in points {
         labels.push(format!(
             "{}/{}/{}",
             config.name, scheme.scheme, profile.name
         ));
-        slots.push(TraceSlot {
-            profile,
-            seed: bench_seed(profile, spec),
-        });
+        let seed = bench_seed(profile, spec);
+        let slot = match slots
+            .iter()
+            .position(|s| s.profile.name == profile.name && s.seed == seed)
+        {
+            Some(slot) => slot,
+            None => {
+                slots.push(TraceSlot { profile, seed });
+                slots.len() - 1
+            }
+        };
         // Storeless: the key is never used.
         batch.push(PointJob {
             config,
@@ -524,13 +663,7 @@ pub(crate) fn run_report_points(
             fp: 0,
         });
     }
-    let (stats, report) = run_points(&labels, &batch, &slots, spec.ops, &RunOptions::storeless());
-    assert!(
-        report.ok(),
-        "report points failed:\n{}",
-        report.render_failures()
-    );
-    stats.into_iter().flatten().collect()
+    (labels, batch, slots)
 }
 
 /// Runs the whole grid with default options (no resume, default policy,
@@ -598,6 +731,61 @@ mod tests {
     }
 
     #[test]
+    fn report_points_share_one_slot_per_benchmark() {
+        // Table 4's shape, three secure schemes on a three-benchmark mix,
+        // with one benchmark named twice: 9 points on 2 traces.
+        let p = spec2017_profiles();
+        let mega = CoreConfig::mega();
+        let mix = [&p[4], &p[0], &p[4]];
+        let points: Vec<_> = Scheme::secure()
+            .into_iter()
+            .flat_map(|s| mix.map(|b| (&mega, mega.scheme_config(s), b)))
+            .collect();
+        let spec = tiny();
+        let (labels, batch, slots) = report_batch(&points, &spec);
+        assert_eq!(slots.len(), 2, "one slot per distinct benchmark");
+        let slot_of = |job: &PointJob| slots[job.slot].profile.name;
+        assert!(batch
+            .iter()
+            .zip(&points)
+            .all(|(j, pt)| slot_of(j) == pt.2.name));
+        let (stats, report) =
+            run_points(&labels, &batch, &slots, spec.ops, &RunOptions::storeless());
+        assert!(report.ok());
+        assert_eq!(report.traces_decoded, 2);
+        // Sharing a slot cannot change a point's statistics.
+        let alone = run_report_points(&points[..1], &spec);
+        assert_eq!(stats[0].as_ref(), Some(&alone[0]));
+    }
+
+    #[test]
+    fn trace_major_batches_keep_about_one_trace_per_worker() {
+        let workers = 2;
+        let opts = RunOptions {
+            policy: JobPolicy {
+                workers,
+                ..JobPolicy::default()
+            },
+            ..RunOptions::storeless()
+        };
+        let configs = [CoreConfig::small(), CoreConfig::medium()];
+        let (grid, report) = run_grid_with(&configs, &tiny(), &opts);
+        assert!(report.ok());
+        assert_eq!(report.simulated, 2 * 4 * 22);
+        assert_eq!(report.traces_decoded, 22, "each slot decoded exactly once");
+        assert!(
+            (1..=workers + 1).contains(&report.peak_resident_traces),
+            "{} traces resident at once",
+            report.peak_resident_traces
+        );
+        // Result order still follows the grid, not the execution order.
+        let rows = grid.suite("medium", Scheme::Nda).unwrap();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        let want: Vec<&str> = spec2017_profiles().iter().map(|p| p.name).collect();
+        assert_eq!(names, want);
+    }
+
+    #[test]
     fn suite_covers_all_benchmarks() {
         let small = CoreConfig::small();
         let (grid, report) =
@@ -657,6 +845,7 @@ mod tests {
             (0, 88),
             "a fully-cached resume must perform zero simulations"
         );
+        assert_eq!(warm.traces_decoded, 0, "and decode zero traces");
         for scheme in Scheme::all() {
             assert_eq!(
                 cold_grid.suite("small", scheme).unwrap(),
@@ -695,6 +884,7 @@ mod tests {
             (2, 86),
             "exactly the corrupted and the deleted entries re-simulate"
         );
+        assert_eq!(warm.traces_decoded, 2, "only their two traces decode");
         assert!(victim_path.exists(), "the resume pass heals the store");
         assert_eq!(grid.suite("small", Scheme::Baseline).unwrap().len(), 22);
         cleanup(&store);
@@ -703,26 +893,47 @@ mod tests {
     #[test]
     fn injected_panic_yields_a_partial_grid_and_a_named_failure() {
         let (mut opts, store) = scratch_opts("panic");
-        opts.policy.faults = Some(FaultPlan::parse("panic@0").unwrap());
+        // Index 23 sits mid-batch and mid-slot: execution order must not
+        // retarget it.
+        opts.policy.faults = Some(FaultPlan::parse("panic@0,panic@23").unwrap());
         let (grid, report) = run_grid_with(&[CoreConfig::small()], &tiny(), &opts);
-        assert_eq!(report.failures.len(), 1);
-        let e = &report.failures[0];
-        assert_eq!(e.index, 0);
-        assert_eq!(e.label, "small/Baseline/500.perlbench");
-        assert!(matches!(e.cause, JobFailure::Panicked(_)));
-        // The victim suite is incomplete; every other suite survived whole.
-        assert!(matches!(
-            grid.suite("small", Scheme::Baseline),
-            Err(ExperimentError::IncompleteSuite {
-                have: 21,
-                want: 22,
-                ..
-            })
-        ));
-        for scheme in Scheme::secure() {
+        assert_eq!(report.failures.len(), 2);
+        let named: Vec<(usize, &str)> = report
+            .failures
+            .iter()
+            .map(|e| (e.index, e.label.as_str()))
+            .collect();
+        assert_eq!(
+            named,
+            [
+                (0, "small/Baseline/500.perlbench"),
+                (23, "small/STT-Rename/502.gcc")
+            ]
+        );
+        assert!(report
+            .failures
+            .iter()
+            .all(|e| matches!(e.cause, JobFailure::Panicked(_))));
+        // The victim suites are incomplete; every other suite survived whole.
+        for scheme in [Scheme::Baseline, Scheme::SttRename] {
+            assert!(matches!(
+                grid.suite("small", scheme),
+                Err(ExperimentError::IncompleteSuite {
+                    have: 21,
+                    want: 22,
+                    ..
+                })
+            ));
+        }
+        for scheme in [Scheme::SttIssue, Scheme::Nda] {
             assert_eq!(grid.suite("small", scheme).unwrap().len(), 22);
         }
-        assert!(report.render_failures().contains("panic@0"));
+        let rendered = report.render_failures();
+        assert!(rendered.contains("panic@0"), "{rendered}");
+        assert!(
+            rendered.contains("#23 small/STT-Rename/502.gcc: panicked: injected fault: panic@23"),
+            "{rendered}"
+        );
         cleanup(&store);
     }
 

@@ -208,11 +208,32 @@ where
     T: Send,
     F: Fn(&JobCtx) -> Result<T, JobFailure> + Sync,
 {
+    let order: Vec<usize> = (0..labels.len()).collect();
+    run_batch_in_order(labels, &order, policy, f)
+}
+
+/// [`run_batch`] with jobs started in the order `order` lists them (a
+/// permutation of the job indices; see [`pool::run_ordered_outcomes`]).
+/// Only which jobs run when changes: indices, labels, result slots, the
+/// failure report and fault-injection indices all still name positions in
+/// `labels`. Under an expiring run budget the jobs cancelled are the ones
+/// late in `order`.
+pub(crate) fn run_batch_in_order<T, F>(
+    labels: &[String],
+    order: &[usize],
+    policy: &JobPolicy,
+    f: F,
+) -> BatchReport<T>
+where
+    T: Send,
+    F: Fn(&JobCtx) -> Result<T, JobFailure> + Sync,
+{
+    assert_eq!(order.len(), labels.len(), "one order entry per job");
     let budget = match policy.run_budget {
         Some(b) => CancelToken::with_budget(b),
         None => CancelToken::new(),
     };
-    let outcomes = pool::run_indexed_outcomes(labels.len(), policy.workers, |i| {
+    let outcomes = pool::run_ordered_outcomes(order, policy.workers, |i| {
         run_one_job(i, policy, &budget, &f)
     });
     let mut results = Vec::with_capacity(labels.len());
@@ -375,6 +396,26 @@ mod tests {
             report.failures[0].cause,
             JobFailure::Panicked("injected fault: panic@1".to_string())
         );
+    }
+
+    #[test]
+    fn ordered_batches_keep_indices_labels_and_fault_targets() {
+        let policy = JobPolicy {
+            workers: 1,
+            faults: Some(FaultPlan::parse("panic@2").unwrap()),
+            ..quick_policy()
+        };
+        let started = std::sync::Mutex::new(Vec::new());
+        let report = run_batch_in_order(&labels(4), &[2, 3, 0, 1], &policy, |ctx| {
+            started.lock().unwrap().push(ctx.index);
+            Ok(ctx.index * 10)
+        });
+        // Job 2 panicked before its body ran; the rest ran in the given order.
+        assert_eq!(started.into_inner().unwrap(), [3, 0, 1]);
+        assert_eq!(report.results, [Some(0), Some(10), None, Some(30)]);
+        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures[0].index, 2);
+        assert_eq!(report.failures[0].label, "job-2");
     }
 
     #[test]

@@ -65,6 +65,32 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let order: Vec<usize> = (0..n).collect();
+    run_ordered_outcomes(&order, workers, f)
+}
+
+/// [`run_indexed_outcomes`] over `n = order.len()` jobs, started in the
+/// order `order` lists them instead of in index order: workers pull
+/// `order[0]`, `order[1]`, … from the shared counter. Only the start order
+/// changes — outcomes still come back one per index, in index order, and
+/// a panic still names the job's index.
+///
+/// # Panics
+///
+/// Panics if `order` is not a permutation of `0..order.len()`.
+pub fn run_ordered_outcomes<T, F>(order: &[usize], workers: usize, f: F) -> Vec<Result<T, JobPanic>>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let n = order.len();
+    let mut seen = vec![false; n];
+    for &i in order {
+        assert!(
+            i < n && !std::mem::replace(&mut seen[i], true),
+            "execution order is not a permutation of 0..{n}"
+        );
+    }
     if n == 0 {
         return Vec::new();
     }
@@ -74,31 +100,34 @@ where
             message: panic_message(payload.as_ref()),
         })
     };
+    let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // catch_unwind means no job can panic while (or before) holding a slot
+    // lock, but stay lossless anyway: a poisoned lock still hands back its
+    // data.
+    let store = |i: usize, result| {
+        *slots[i]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+    };
     let workers = workers.clamp(1, n);
     if workers == 1 {
         // Single worker: skip the thread machinery entirely (also the path
         // taken by nested pools, keeping nesting from oversubscribing).
-        return (0..n).map(run_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run_one(i);
-                // catch_unwind above means no worker can panic while (or
-                // before) holding a slot lock, but stay lossless anyway:
-                // a poisoned lock still hands back its data.
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
+        for &i in order {
+            store(i, run_one(i));
         }
-    });
+    } else {
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        store(i, run_one(i));
+                    }
+                });
+            }
+        });
+    }
     slots
         .into_iter()
         .enumerate()
@@ -180,6 +209,29 @@ mod tests {
     fn string_payload_panics_are_preserved() {
         let out = run_indexed_outcomes(1, 1, |_| -> usize { panic!("msg {}", 42) });
         assert_eq!(out[0].as_ref().unwrap_err().message, "msg 42");
+    }
+
+    #[test]
+    fn ordered_runs_start_jobs_in_the_given_order() {
+        let order = [3, 0, 4, 1, 2];
+        let started = Mutex::new(Vec::new());
+        let out = run_ordered_outcomes(&order, 1, |i| {
+            started.lock().unwrap().push(i);
+            assert!(i != 4, "boom");
+            i * 2
+        });
+        assert_eq!(started.into_inner().unwrap(), order);
+        assert_eq!(out.len(), 5);
+        assert_eq!(out[4].as_ref().unwrap_err().index, 4);
+        for i in [0, 1, 2, 3] {
+            assert_eq!(*out[i].as_ref().unwrap(), i * 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn an_order_with_a_repeated_index_is_rejected() {
+        let _ = run_ordered_outcomes(&[0, 0], 2, |i| i);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sb_experiments::jobs::{run_batch, JobFailure, JobPolicy};
-use sb_experiments::pool::run_indexed_outcomes;
+use sb_experiments::pool::{run_indexed_outcomes, run_ordered_outcomes};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
@@ -34,19 +34,36 @@ fn behavior_from(draw: u8) -> Behavior {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Raw pool layer: any panic mask, any worker count — every slot comes
-    /// back, errors exactly at the panicking indexes, survivors intact.
+    /// Raw pool layer: any panic mask, any execution order, any worker
+    /// count — every job runs exactly once, every slot comes back keyed by
+    /// its index, errors exactly at the panicking indexes, survivors
+    /// intact.
     #[test]
     fn any_panic_mask_keeps_every_surviving_slot(
-        mask in prop::collection::vec(any::<bool>(), 0..40),
+        jobs in prop::collection::vec((any::<bool>(), 0u32..1_000_000), 0..40),
         workers in 0usize..12,
+        in_index_order in any::<bool>(),
     ) {
-        let n = mask.len();
-        let out = run_indexed_outcomes(n, workers, |i| {
+        let n = jobs.len();
+        let mask: Vec<bool> = jobs.iter().map(|&(panics, _)| panics).collect();
+        // A random permutation: the indices sorted by a random key.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| jobs[i].1);
+        let tries: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let job = |i: usize| {
+            tries[i].fetch_add(1, Ordering::Relaxed);
             assert!(!mask[i], "injected panic at {i}");
             i * 7
-        });
+        };
+        let out = if in_index_order {
+            run_indexed_outcomes(n, workers, job)
+        } else {
+            run_ordered_outcomes(&order, workers, job)
+        };
         prop_assert_eq!(out.len(), n);
+        for t in &tries {
+            prop_assert_eq!(t.load(Ordering::Relaxed), 1, "every job runs exactly once");
+        }
         for (i, slot) in out.iter().enumerate() {
             if mask[i] {
                 let e = slot.as_ref().unwrap_err();

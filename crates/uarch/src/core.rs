@@ -100,6 +100,7 @@ use sb_isa::{OpClass, PhysReg, Seq, Trace};
 use sb_mem::{AccessKind, Attribution, MemoryHierarchy, ServedBy};
 use sb_stats::SimStats;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Store-to-load forwarding latency in cycles.
 const FORWARD_LATENCY: u32 = 3;
@@ -322,11 +323,16 @@ pub struct Core {
 impl Core {
     /// Builds a core for `trace` under `config` and `scheme_cfg`.
     ///
+    /// The core only reads its trace, so `trace` may be an owned [`Trace`]
+    /// or an `Arc<Trace>`: cores simulating the same workload (every
+    /// `(config, scheme)` point of a grid) can share one decoded copy
+    /// instead of cloning it per run.
+    ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`CoreConfig::validate`].
     #[must_use]
-    pub fn new(config: CoreConfig, scheme_cfg: SchemeConfig, trace: Trace) -> Self {
+    pub fn new(config: CoreConfig, scheme_cfg: SchemeConfig, trace: impl Into<Arc<Trace>>) -> Self {
         config.validate();
         let mut preg_ready_at = vec![NEVER; config.phys_regs];
         for slot in preg_ready_at.iter_mut().take(sb_isa::NUM_ARCH_REGS) {
@@ -388,7 +394,7 @@ impl Core {
     /// Convenience constructor: [`Core::new`] with the fidelity-derived
     /// [`CoreConfig::scheme_config`].
     #[must_use]
-    pub fn with_scheme(config: CoreConfig, scheme: Scheme, trace: Trace) -> Self {
+    pub fn with_scheme(config: CoreConfig, scheme: Scheme, trace: impl Into<Arc<Trace>>) -> Self {
         let scheme_cfg = config.scheme_config(scheme);
         Core::new(config, scheme_cfg, trace)
     }
@@ -482,14 +488,14 @@ impl Core {
             // No token attached: the loop stays branch-free on the poll
             // (the common path for tests and single-shot runs).
             while !self.done && self.cycle < max_cycles {
-                self.step();
+                self.step_within(max_cycles);
             }
             return &self.stats;
         };
         self.interrupted = false;
         let mut next_poll = self.cycle + crate::cancel::CANCEL_POLL_CYCLES;
         while !self.done && self.cycle < max_cycles {
-            self.step();
+            self.step_within(max_cycles);
             // `>=` rather than `==`: idle fast-forward can jump the cycle
             // counter past any particular value.
             if self.cycle >= next_poll {
@@ -524,8 +530,17 @@ impl Core {
         &self.stats
     }
 
-    /// Advances one cycle.
+    /// Simulates the current cycle. Under [`SchedulerKind::EventWheel`] an
+    /// idle stretch that follows is then fast-forwarded to the next cycle
+    /// with work, so one call may advance [`Core::cycle`] by more than one
+    /// (the skipped cycles' statistics are recorded exactly as if they had
+    /// been stepped). [`Core::run`] bounds the fast-forward by its cap.
     pub fn step(&mut self) {
+        self.step_within(u64::MAX);
+    }
+
+    /// [`Core::step`] with the idle fast-forward stopping at cycle `cap`.
+    fn step_within(&mut self, cap: u64) {
         if self.done {
             return;
         }
@@ -541,7 +556,7 @@ impl Core {
             return;
         }
         if self.scheduler == SchedulerKind::EventWheel {
-            self.try_skip_idle();
+            self.try_skip_idle(cap);
         }
     }
 
@@ -552,8 +567,10 @@ impl Core {
     /// fetch-redirect expiry, replicating the per-cycle statistics the
     /// skipped cycles would have recorded. All pipeline state is constant
     /// across the gap by construction: it only changes at events, and the
-    /// skip stops at the first one.
-    fn try_skip_idle(&mut self) {
+    /// skip stops at the first one — or at `cap`, so a capped
+    /// [`Core::run`] ends on exactly the cycle the reference scheduler
+    /// does.
+    fn try_skip_idle(&mut self, cap: u64) {
         // Commit would retire something.
         if self.rob.front().is_some_and(HotInst::is_completed) {
             return;
@@ -603,8 +620,10 @@ impl Core {
             return;
         }
         // Bound the jump to one calendar lap so the wasted-slot sweep below
-        // stays within a single pass over the ring.
-        let stop = stop.min(self.cycle + crate::sched::HORIZON as u64 - 1);
+        // stays within a single pass over the ring, and to the run's cap.
+        let stop = stop
+            .min(self.cycle + crate::sched::HORIZON as u64 - 1)
+            .min(cap);
         if stop <= self.cycle {
             return;
         }

@@ -6,9 +6,11 @@
 //! resolves; either way the core pays the redirect penalty after
 //! resolution. Store-to-load forwarding errors rewind the cursor to the
 //! offending load and replay the stream — which is why traces are fully
-//! materialized and indexable.
+//! materialized and indexable. The trace is read-only and held behind an
+//! [`Arc`], so every core simulating the same workload shares one copy.
 
 use sb_isa::{MicroOp, Trace};
+use std::sync::Arc;
 
 /// What the front end delivers for one dispatch slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,18 +38,19 @@ enum Mode {
 /// flush/rewind support.
 #[derive(Clone, Debug)]
 pub struct Frontend {
-    trace: Trace,
+    trace: Arc<Trace>,
     cursor: usize,
     mode: Mode,
     redirect_penalty: u32,
 }
 
 impl Frontend {
-    /// A front end positioned at the start of `trace`.
+    /// A front end positioned at the start of `trace`: an owned [`Trace`]
+    /// or an `Arc<Trace>` shared with other front ends.
     #[must_use]
-    pub fn new(trace: Trace, redirect_penalty: u32) -> Self {
+    pub fn new(trace: impl Into<Arc<Trace>>, redirect_penalty: u32) -> Self {
         Frontend {
-            trace,
+            trace: trace.into(),
             cursor: 0,
             mode: Mode::Normal,
             redirect_penalty,

@@ -820,3 +820,51 @@ fn btb_aliasing_reopens_the_victims_transient_window() {
     assert!(inj.memory().probe_l1d(0x40_0000));
     assert!(inj.stats().branch_mispredicts.get() > clean.stats().branch_mispredicts.get());
 }
+
+/// A capped run stops on its cap under both schedulers. The event wheel's
+/// idle fast-forward used to jump past `max_cycles` (e.g. `run(137)` on
+/// the mcf-like profile ended at cycle 199 on the wheel, 137 on the
+/// reference), so capped runs reported extra cycles and stalls. Resuming
+/// a capped run must also land where one uncapped-to-that-point run does.
+#[test]
+fn capped_runs_stop_on_the_cap_under_both_schedulers() {
+    use sb_uarch::SchedulerKind;
+    let mcf = sb_workloads::spec2017_profiles()
+        .into_iter()
+        .find(|p| p.name == "505.mcf")
+        .expect("mcf profile");
+    let trace = sb_workloads::generate(&mcf, 3_000, 7);
+    let core = |kind: SchedulerKind| {
+        let mut config = CoreConfig::mega();
+        config.scheduler = kind;
+        Core::with_scheme(config, Scheme::Baseline, trace.clone())
+    };
+    let mut capped = 0;
+    for cap in (100..=3_000).step_by(37) {
+        let mut reference = core(SchedulerKind::Reference);
+        let mut wheel = core(SchedulerKind::EventWheel);
+        reference.run(cap);
+        wheel.run(cap);
+        assert_eq!(
+            reference.stats(),
+            wheel.stats(),
+            "cap {cap}: stats diverged"
+        );
+        assert_eq!(reference.is_done(), wheel.is_done(), "cap {cap}");
+        if !wheel.is_done() {
+            capped += 1;
+            assert_eq!(wheel.cycle(), cap, "wheel overshot cap {cap}");
+            assert_eq!(reference.cycle(), cap, "reference overshot cap {cap}");
+        }
+        // Two capped segments equal one run to the second cap.
+        wheel.run(cap + 50);
+        let mut once = core(SchedulerKind::EventWheel);
+        once.run(cap + 50);
+        assert_eq!(
+            wheel.stats(),
+            once.stats(),
+            "cap {cap}: resumed run diverged"
+        );
+    }
+    assert!(capped > 0, "no cap stopped the run before it finished");
+}
