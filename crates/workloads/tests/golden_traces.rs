@@ -7,9 +7,10 @@
 //! seed implementation stays alive as the reference, and equality is
 //! asserted over the full structure, not summaries.
 
+use sb_isa::{fnv, Trace};
 use sb_workloads::{
-    generate, generate_with, spec2017_profiles, spectre_v1_kernel, ssb_kernel, GeneratorKind,
-    TraceStore,
+    attack_battery, fuzz_attacks::fuzz_battery, generate, generate_with, spec2017_profiles,
+    spectre_v1_kernel, ssb_kernel, GeneratorKind, TraceStore,
 };
 
 /// Batched == reference over the full SPEC2017 profile set, across several
@@ -95,4 +96,61 @@ fn store_round_trip_equals_fresh_generation_across_suite() {
         assert_eq!(fresh, warm, "{} warm", profile.name);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Folds each trace's `encode_trace` bytes into one FNV digest and notes
+/// which record layouts (format versions) the family exercised.
+fn encoded_digest<'a>(traces: impl IntoIterator<Item = &'a Trace>) -> (u64, Vec<u32>) {
+    let mut h = fnv::OFFSET;
+    let mut versions = Vec::new();
+    for t in traces {
+        let bytes = sb_isa::encode_trace(t);
+        h = fnv::fold_bytes(h, &bytes);
+        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        if !versions.contains(&version) {
+            versions.push(version);
+        }
+    }
+    versions.sort_unstable();
+    (h, versions)
+}
+
+/// The serialized bytes of every trace family the simulator caches or
+/// judges are pinned: the profile suite, the attack battery for two
+/// secrets and the fuzzed battery. A change to the in-memory micro-op
+/// layout must not move a single byte, so every trace-cache file keeps
+/// its name and contents. Both record layouts are covered: the profile
+/// traces encode as version 1, the predictor kernels as version 2.
+#[test]
+fn encoded_trace_bytes_are_pinned() {
+    let profiles: Vec<Trace> = spec2017_profiles()
+        .iter()
+        .map(|p| generate(p, 2_000, 2025))
+        .collect();
+    let battery = |secret| {
+        attack_battery(secret)
+            .into_iter()
+            .map(|k| k.trace)
+            .collect::<Vec<_>>()
+    };
+    let fuzzed: Vec<Trace> = fuzz_battery(0).into_iter().map(|k| k.trace).collect();
+    let got = [
+        ("spec2017 @ 2000 ops, seed 2025", encoded_digest(&profiles)),
+        ("attack_battery(3)", encoded_digest(&battery(3))),
+        ("attack_battery(12)", encoded_digest(&battery(12))),
+        ("fuzz_battery(0)", encoded_digest(&fuzzed)),
+    ]
+    .map(|(family, (digest, versions))| (family, format!("{digest:#018x}"), versions));
+    let want = [
+        (
+            "spec2017 @ 2000 ops, seed 2025",
+            "0x3228f836623a00f7",
+            vec![1],
+        ),
+        ("attack_battery(3)", "0x34424aff8872ee50", vec![1, 2]),
+        ("attack_battery(12)", "0x57b2cc0c9a5bf501", vec![1, 2]),
+        ("fuzz_battery(0)", "0x01fe5d98e8a49f28", vec![1, 2]),
+    ]
+    .map(|(family, digest, versions)| (family, digest.to_string(), versions));
+    assert_eq!(got, want, "encoded trace bytes moved");
 }
