@@ -275,10 +275,10 @@ impl Interp {
     }
 
     fn step(&self, st: &mut AbsState, op: &MicroOp, walk: Walk, ev: &mut Events, ep: &mut Episode) {
-        match op.class {
+        match op.class() {
             OpClass::Load => self.step_load(st, op, walk, ev, ep),
             OpClass::Store => {
-                let mem = op.mem.expect("store carries a MemAccess");
+                let mem = op.mem().expect("store carries a MemAccess");
                 let addr = st.val(op.addr_source());
                 let data = st.val(op.data_source());
                 st.stores.push(PendingStore {
@@ -294,7 +294,7 @@ impl Interp {
                     let mut v = op
                         .sources()
                         .fold(AbsVal::default(), |acc, r| acc.join(st.val(Some(r))));
-                    v.lat = v.lat.join(Latency::of_compute(op.class));
+                    v.lat = v.lat.join(Latency::of_compute(op.class()));
                     st.set(d, v);
                 }
             }
@@ -309,7 +309,7 @@ impl Interp {
         ev: &mut Events,
         ep: &mut Episode,
     ) {
-        let mem = op.mem.expect("load carries a MemAccess");
+        let mem = op.mem().expect("load carries a MemAccess");
         let addr = st.val(op.addr_source());
         let dest = op.dest();
 
@@ -649,7 +649,7 @@ pub(crate) fn analyze(kernel: &AttackKernel, gated: bool, tracks_m: bool) -> Sta
     for (idx, op) in kernel.trace.iter().enumerate() {
         interp.step(&mut st, op, Walk::Correct, &mut ev, &mut main_ep);
         let mut mispredicted = op.is_mispredicted();
-        if let (Some(pred), Some(ctrl)) = (pred.as_mut(), op.ctrl) {
+        if let (Some(pred), Some(ctrl)) = (pred.as_mut(), op.ctrl()) {
             mispredicted = pred.mispredicts(ctrl.pc, ctrl.taken, ctrl.target);
             pred.shift_ghr(ctrl.taken);
             // Architectural training: predictor state moves, but the
@@ -663,7 +663,7 @@ pub(crate) fn analyze(kernel: &AttackKernel, gated: bool, tracks_m: bool) -> Sta
                 let mut ep = Episode::default();
                 for wop in &block.ops {
                     interp.step(&mut st, wop, Walk::WrongPath, &mut ev, &mut ep);
-                    if let (Some(pred), Some(ctrl)) = (pred.as_mut(), wop.ctrl) {
+                    if let (Some(pred), Some(ctrl)) = (pred.as_mut(), wop.ctrl()) {
                         // A transient branch is a transmitter: under a
                         // secure scheme a tainted operand gates its
                         // execution, so it never resolves — and never

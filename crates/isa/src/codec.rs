@@ -42,7 +42,10 @@
 //! import-format example.
 
 use crate::ids::{ArchReg, NUM_ARCH_REGS};
-use crate::op::{CtrlFlow, MemAccess, MicroOp, OpClass};
+use crate::op::{
+    CtrlFlow, MemAccess, MicroOp, OpClass, FLAG_CTRL, FLAG_MEM, FLAG_MISPREDICTED, FLAG_TAKEN,
+    REG_NONE,
+};
 use crate::trace::{Trace, WrongPathBlock};
 use std::collections::HashMap;
 use std::fmt;
@@ -91,12 +94,6 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-const REG_NONE: u8 = 0xFF;
-const FLAG_MEM: u8 = 1 << 0;
-const FLAG_CTRL: u8 = 1 << 1;
-const FLAG_TAKEN: u8 = 1 << 2;
-const FLAG_MISPREDICTED: u8 = 1 << 3;
 
 /// Bytes per fixed-size micro-op record in format version 1.
 const OP_RECORD_V1: usize = 14;
@@ -177,17 +174,13 @@ fn reg_from_code(code: u8) -> Result<Option<ArchReg>, CodecError> {
     if usize::from(code) >= NUM_ARCH_REGS {
         return Err(CodecError::Invalid("register index out of range"));
     }
-    Ok(Some(if code < 32 {
-        ArchReg::int(code)
-    } else {
-        ArchReg::fp(code - 32)
-    }))
+    Ok(Some(ArchReg::from_index(code)))
 }
 
 fn encode_op(op: &MicroOp, version: u32, out: &mut Vec<u8>) {
     let mut rec = [0u8; OP_RECORD_V2];
     let mut flags = 0u8;
-    if let Some(c) = op.ctrl {
+    if let Some(c) = op.ctrl() {
         flags |= FLAG_CTRL;
         if c.taken {
             flags |= FLAG_TAKEN;
@@ -200,16 +193,16 @@ fn encode_op(op: &MicroOp, version: u32, out: &mut Vec<u8>) {
             rec[22..30].copy_from_slice(&c.target.to_le_bytes());
         }
     }
-    if let Some(m) = op.mem {
+    if let Some(m) = op.mem() {
         flags |= FLAG_MEM;
         rec[5..13].copy_from_slice(&m.addr.to_le_bytes());
         rec[13] = m.bytes;
     }
-    rec[0] = class_code(op.class);
+    rec[0] = class_code(op.class());
     rec[1] = flags;
-    rec[2] = reg_code(op.dst);
-    rec[3] = reg_code(op.src1);
-    rec[4] = reg_code(op.src2);
+    rec[2] = reg_code(op.dst());
+    rec[3] = reg_code(op.src1());
+    rec[4] = reg_code(op.src2());
     out.extend_from_slice(&rec[..op_record_len(version)]);
 }
 
@@ -243,14 +236,14 @@ fn decode_op(rec: &[u8]) -> Result<MicroOp, CodecError> {
     } else {
         None
     };
-    Ok(MicroOp {
+    Ok(MicroOp::new(
         class,
-        dst: reg_from_code(rec[2])?,
-        src1: reg_from_code(rec[3])?,
-        src2: reg_from_code(rec[4])?,
+        reg_from_code(rec[2])?,
+        reg_from_code(rec[3])?,
+        reg_from_code(rec[4])?,
         mem,
         ctrl,
-    })
+    ))
 }
 
 /// Byte-slice cursor for decoding.
@@ -279,18 +272,23 @@ impl<'a> Reader<'a> {
         let count = usize::try_from(self.u64()?).map_err(|_| CodecError::Invalid("op count"))?;
         // One bounds check for the whole array (which also guards the
         // allocation against corrupted counts), then a record-at-a-time
-        // parse over exact chunks.
+        // parse over exact chunks into a buffer of exactly `count` ops:
+        // collecting a `Result` iterator would grow by doubling instead.
         let bytes = self
             .take(count.checked_mul(record_len).ok_or(CodecError::Truncated)?)
             .map_err(|_| CodecError::Truncated)?;
-        bytes.chunks_exact(record_len).map(decode_op).collect()
+        let mut ops = Vec::with_capacity(count);
+        for rec in bytes.chunks_exact(record_len) {
+            ops.push(decode_op(rec)?);
+        }
+        Ok(ops)
     }
 }
 
 /// Whether any op in the trace carries branch pc/target info, i.e. whether
 /// encoding it needs the version-2 record layout.
 fn needs_v2(trace: &Trace) -> bool {
-    let carries_info = |op: &MicroOp| op.ctrl.is_some_and(|c| c.pc != 0 || c.target != 0);
+    let carries_info = |op: &MicroOp| op.ctrl().is_some_and(|c| c.pc != 0 || c.target != 0);
     trace.iter().any(carries_info)
         || trace
             .wrong_paths()
@@ -473,9 +471,9 @@ mod tests {
         let t = sample_v2();
         let decoded = decode_trace(&encode_trace(&t)).unwrap();
         assert_eq!(t, decoded);
-        let c = decoded.op(1).ctrl.unwrap();
+        let c = decoded.op(1).ctrl().unwrap();
         assert_eq!((c.pc, c.target), (0x4000, 0x4100));
-        let wp = decoded.wrong_path(1).unwrap().ops[0].ctrl.unwrap();
+        let wp = decoded.wrong_path(1).unwrap().ops[0].ctrl().unwrap();
         assert_eq!((wp.pc, wp.target), (0x4040, 0x4200));
     }
 

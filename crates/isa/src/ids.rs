@@ -50,6 +50,13 @@ impl ArchReg {
         ArchReg(32 + n)
     }
 
+    /// The register with raw index `index` (`< NUM_ARCH_REGS`), the
+    /// inverse of [`ArchReg::index`].
+    pub(crate) fn from_index(index: u8) -> Self {
+        debug_assert!(usize::from(index) < NUM_ARCH_REGS);
+        ArchReg(index)
+    }
+
     /// Raw index into a `NUM_ARCH_REGS`-sized table.
     #[must_use]
     pub fn index(self) -> usize {

@@ -172,8 +172,25 @@ pub struct CtrlFlow {
     pub target: u64,
 }
 
+/// Register code meaning "no register" in [`MicroOp`]'s packed operand
+/// bytes; the same code the trace codec writes to disk.
+pub(crate) const REG_NONE: u8 = 0xFF;
+/// [`MicroOp`] flag bits; the same bits as the trace codec's flags byte.
+pub(crate) const FLAG_MEM: u8 = 1 << 0;
+pub(crate) const FLAG_CTRL: u8 = 1 << 1;
+pub(crate) const FLAG_TAKEN: u8 = 1 << 2;
+pub(crate) const FLAG_MISPREDICTED: u8 = 1 << 3;
+
 /// A decoded micro-op: the unit the rename stage, issue queue, and LSU
 /// operate on.
+///
+/// The op is packed into 32 bytes (pinned at compile time below), since
+/// a decoded trace holds one per dynamic instruction: the three 64-bit
+/// words come first, then the class, a flags byte saying which of the
+/// memory access and the branch outcome are present, the three register
+/// codes ([`REG_NONE`] = none) and the access size. Absent fields stay
+/// zero, so the derived `Eq` and `Hash` are field-wise equality of what
+/// the accessors return.
 ///
 /// # Example
 ///
@@ -181,39 +198,85 @@ pub struct CtrlFlow {
 /// use sb_isa::{ArchReg, MicroOp, OpClass};
 ///
 /// let op = MicroOp::alu(ArchReg::int(1), Some(ArchReg::int(2)), None);
-/// assert_eq!(op.class, OpClass::IntAlu);
+/// assert_eq!(op.class(), OpClass::IntAlu);
 /// assert!(!op.is_transmitter());
 /// assert_eq!(op.sources().count(), 1);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicroOp {
-    /// Functional class.
-    pub class: OpClass,
-    /// Destination architectural register, if any. Stores and branches have
-    /// none.
-    pub dst: Option<ArchReg>,
-    /// First source operand. For stores this is the *address* operand.
-    pub src1: Option<ArchReg>,
-    /// Second source operand. For stores this is the *data* operand.
-    pub src2: Option<ArchReg>,
-    /// Memory access, present iff `class` is `Load` or `Store`.
-    pub mem: Option<MemAccess>,
-    /// Control-flow outcome, present iff `class` is `Branch`.
-    pub ctrl: Option<CtrlFlow>,
+    /// Memory address (0 without a memory access).
+    addr: u64,
+    /// Branch pc (0 without branch info).
+    pc: u64,
+    /// Branch taken-path target (0 without branch info).
+    target: u64,
+    class: OpClass,
+    flags: u8,
+    /// `dst`, `src1`, `src2` as register indices, [`REG_NONE`] for none.
+    regs: [u8; 3],
+    /// Access size in bytes (0 without a memory access).
+    bytes: u8,
+}
+
+/// A trace holds one `MicroOp` per dynamic instruction; keep it at half a
+/// cache line. `micro_op_fits_32_bytes` (sb-uarch `inst.rs`) pins this
+/// again as a runtime test with a friendlier failure message.
+const _: () = assert!(std::mem::size_of::<MicroOp>() <= 32);
+
+fn pack_reg(reg: Option<ArchReg>) -> u8 {
+    #[allow(clippy::cast_possible_truncation)] // index() < NUM_ARCH_REGS = 64
+    reg.map_or(REG_NONE, |r| r.index() as u8)
+}
+
+fn unpack_reg(code: u8) -> Option<ArchReg> {
+    (code != REG_NONE).then(|| ArchReg::from_index(code))
 }
 
 impl MicroOp {
+    /// An op of any class with every field given explicitly — the general
+    /// form the trace codec decodes into. Nothing ties `mem` or `ctrl` to
+    /// the class: the on-disk format may carry both on one op.
+    #[must_use]
+    pub fn new(
+        class: OpClass,
+        dst: Option<ArchReg>,
+        src1: Option<ArchReg>,
+        src2: Option<ArchReg>,
+        mem: Option<MemAccess>,
+        ctrl: Option<CtrlFlow>,
+    ) -> Self {
+        let mut op = MicroOp {
+            addr: 0,
+            pc: 0,
+            target: 0,
+            class,
+            flags: 0,
+            regs: [pack_reg(dst), pack_reg(src1), pack_reg(src2)],
+            bytes: 0,
+        };
+        if let Some(m) = mem {
+            op.flags |= FLAG_MEM;
+            op.addr = m.addr;
+            op.bytes = m.bytes;
+        }
+        if let Some(c) = ctrl {
+            op.flags |= FLAG_CTRL;
+            if c.taken {
+                op.flags |= FLAG_TAKEN;
+            }
+            if c.mispredicted {
+                op.flags |= FLAG_MISPREDICTED;
+            }
+            op.pc = c.pc;
+            op.target = c.target;
+        }
+        op
+    }
+
     /// An integer ALU op `dst <- f(src1, src2)`.
     #[must_use]
     pub fn alu(dst: ArchReg, src1: Option<ArchReg>, src2: Option<ArchReg>) -> Self {
-        MicroOp {
-            class: OpClass::IntAlu,
-            dst: Some(dst),
-            src1,
-            src2,
-            mem: None,
-            ctrl: None,
-        }
+        Self::new(OpClass::IntAlu, Some(dst), src1, src2, None, None)
     }
 
     /// A compute op of an explicit class `dst <- f(src1, src2)`.
@@ -233,41 +296,34 @@ impl MicroOp {
             !matches!(class, OpClass::Load | OpClass::Store | OpClass::Branch),
             "compute() cannot build a {class} op"
         );
-        MicroOp {
-            class,
-            dst: Some(dst),
-            src1,
-            src2,
-            mem: None,
-            ctrl: None,
-        }
+        Self::new(class, Some(dst), src1, src2, None, None)
     }
 
     /// A load `dst <- mem[addr]`, with `addr_src` the address-forming register.
     #[must_use]
     pub fn load(dst: ArchReg, addr_src: ArchReg, addr: u64, bytes: u8) -> Self {
-        MicroOp {
-            class: OpClass::Load,
-            dst: Some(dst),
-            src1: Some(addr_src),
-            src2: None,
-            mem: Some(MemAccess { addr, bytes }),
-            ctrl: None,
-        }
+        Self::new(
+            OpClass::Load,
+            Some(dst),
+            Some(addr_src),
+            None,
+            Some(MemAccess { addr, bytes }),
+            None,
+        )
     }
 
     /// A store `mem[addr] <- data_src`, with `addr_src` the address-forming
     /// register (`src1`) and `data_src` the data operand (`src2`).
     #[must_use]
     pub fn store(addr_src: ArchReg, data_src: ArchReg, addr: u64, bytes: u8) -> Self {
-        MicroOp {
-            class: OpClass::Store,
-            dst: None,
-            src1: Some(addr_src),
-            src2: Some(data_src),
-            mem: Some(MemAccess { addr, bytes }),
-            ctrl: None,
-        }
+        Self::new(
+            OpClass::Store,
+            None,
+            Some(addr_src),
+            Some(data_src),
+            Some(MemAccess { addr, bytes }),
+            None,
+        )
     }
 
     /// A conditional branch on up to two operands with a pre-resolved outcome.
@@ -293,32 +349,64 @@ impl MicroOp {
         pc: u64,
         target: u64,
     ) -> Self {
-        MicroOp {
-            class: OpClass::Branch,
-            dst: None,
-            src1,
-            src2,
-            mem: None,
-            ctrl: Some(CtrlFlow {
-                taken,
-                mispredicted,
-                pc,
-                target,
-            }),
-        }
+        let ctrl = CtrlFlow {
+            taken,
+            mispredicted,
+            pc,
+            target,
+        };
+        Self::new(OpClass::Branch, None, src1, src2, None, Some(ctrl))
     }
 
     /// A no-operation.
     #[must_use]
     pub fn nop() -> Self {
-        MicroOp {
-            class: OpClass::Nop,
-            dst: None,
-            src1: None,
-            src2: None,
-            mem: None,
-            ctrl: None,
-        }
+        Self::new(OpClass::Nop, None, None, None, None, None)
+    }
+
+    /// Functional class.
+    #[must_use]
+    pub fn class(&self) -> OpClass {
+        self.class
+    }
+
+    /// Destination architectural register, if any. Stores and branches have
+    /// none.
+    #[must_use]
+    pub fn dst(&self) -> Option<ArchReg> {
+        unpack_reg(self.regs[0])
+    }
+
+    /// First source operand. For stores this is the *address* operand.
+    #[must_use]
+    pub fn src1(&self) -> Option<ArchReg> {
+        unpack_reg(self.regs[1])
+    }
+
+    /// Second source operand. For stores this is the *data* operand.
+    #[must_use]
+    pub fn src2(&self) -> Option<ArchReg> {
+        unpack_reg(self.regs[2])
+    }
+
+    /// Memory access; loads and stores carry one.
+    #[must_use]
+    pub fn mem(&self) -> Option<MemAccess> {
+        (self.flags & FLAG_MEM != 0).then_some(MemAccess {
+            addr: self.addr,
+            bytes: self.bytes,
+        })
+    }
+
+    /// Control-flow outcome; branches carry one.
+    #[must_use]
+    pub fn ctrl(&self) -> Option<CtrlFlow> {
+        (self.flags & FLAG_CTRL != 0).then_some(CtrlFlow {
+            taken: self.flags & FLAG_TAKEN != 0,
+            mispredicted: self.flags & FLAG_MISPREDICTED != 0,
+            pc: self.pc,
+            target: self.target,
+        })
     }
 
     /// Whether this op is a load.
@@ -348,7 +436,7 @@ impl MicroOp {
     /// Whether this branch was mispredicted. `false` for non-branches.
     #[must_use]
     pub fn is_mispredicted(&self) -> bool {
-        self.ctrl.is_some_and(|c| c.mispredicted)
+        self.flags & FLAG_MISPREDICTED != 0
     }
 
     /// The address-forming source operand of a memory op (`src1` for
@@ -357,7 +445,7 @@ impl MicroOp {
     #[must_use]
     pub fn addr_source(&self) -> Option<ArchReg> {
         matches!(self.class, OpClass::Load | OpClass::Store)
-            .then_some(self.src1)
+            .then(|| self.src1())
             .flatten()
             .filter(|r| !r.is_zero())
     }
@@ -367,7 +455,7 @@ impl MicroOp {
     #[must_use]
     pub fn data_source(&self) -> Option<ArchReg> {
         (self.class == OpClass::Store)
-            .then_some(self.src2)
+            .then(|| self.src2())
             .flatten()
             .filter(|r| !r.is_zero())
     }
@@ -375,7 +463,7 @@ impl MicroOp {
     /// Iterates over the present source operands, skipping the hard-wired
     /// zero register (which never carries data or taint).
     pub fn sources(&self) -> impl Iterator<Item = ArchReg> + '_ {
-        [self.src1, self.src2]
+        [self.src1(), self.src2()]
             .into_iter()
             .flatten()
             .filter(|r| !r.is_zero())
@@ -384,7 +472,22 @@ impl MicroOp {
     /// Destination register unless it is the unrenamed zero register.
     #[must_use]
     pub fn dest(&self) -> Option<ArchReg> {
-        self.dst.filter(|r| !r.is_zero())
+        self.dst().filter(|r| !r.is_zero())
+    }
+}
+
+/// Prints the logical fields, as the derived impl of an unpacked struct
+/// would.
+impl fmt::Debug for MicroOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MicroOp")
+            .field("class", &self.class)
+            .field("dst", &self.dst())
+            .field("src1", &self.src1())
+            .field("src2", &self.src2())
+            .field("mem", &self.mem())
+            .field("ctrl", &self.ctrl())
+            .finish()
     }
 }
 
@@ -462,11 +565,11 @@ mod tests {
     fn store_operand_convention() {
         let st = MicroOp::store(ArchReg::int(3), ArchReg::int(4), 0x80, 8);
         assert_eq!(
-            st.src1,
+            st.src1(),
             Some(ArchReg::int(3)),
             "src1 is the address operand"
         );
-        assert_eq!(st.src2, Some(ArchReg::int(4)), "src2 is the data operand");
+        assert_eq!(st.src2(), Some(ArchReg::int(4)), "src2 is the data operand");
         assert!(st.dest().is_none());
     }
 
@@ -474,21 +577,21 @@ mod tests {
     fn branch_outcome_is_carried() {
         let br = MicroOp::branch(Some(ArchReg::int(1)), None, true, true);
         assert!(br.is_mispredicted());
-        assert!(br.ctrl.unwrap().taken);
+        assert!(br.ctrl().unwrap().taken);
         assert!(!MicroOp::nop().is_mispredicted());
     }
 
     #[test]
     fn legacy_branch_constructor_leaves_pc_and_target_zero() {
         let br = MicroOp::branch(Some(ArchReg::int(1)), None, true, false);
-        let c = br.ctrl.unwrap();
+        let c = br.ctrl().unwrap();
         assert_eq!((c.pc, c.target), (0, 0));
     }
 
     #[test]
     fn branch_at_carries_pc_and_target() {
         let br = MicroOp::branch_at(Some(ArchReg::int(1)), None, true, false, 0x1040, 0x2000);
-        let c = br.ctrl.unwrap();
+        let c = br.ctrl().unwrap();
         assert_eq!(c.pc, 0x1040);
         assert_eq!(c.target, 0x2000);
         assert!(c.taken);

@@ -281,8 +281,8 @@ mod tests {
         assert_eq!((i0, i1, i2), (0, 1, 2));
         assert_eq!(b.len(), 3);
         let t = b.build();
-        assert_eq!(t.op(1).class, OpClass::Load);
-        assert_eq!(t.op(2).class, OpClass::Store);
+        assert_eq!(t.op(1).class(), OpClass::Load);
+        assert_eq!(t.op(2).class(), OpClass::Store);
     }
 
     #[test]
@@ -312,7 +312,7 @@ mod tests {
         b.branch(None, None, false, false);
         let t = b.build();
         assert!((t.fraction(|o| o.is_load()) - 0.25).abs() < 1e-12);
-        assert!((t.fraction(|o| o.class == OpClass::IntAlu) - 0.5).abs() < 1e-12);
+        assert!((t.fraction(|o| o.class() == OpClass::IntAlu) - 0.5).abs() < 1e-12);
     }
 
     #[test]

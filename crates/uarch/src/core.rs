@@ -93,8 +93,8 @@ use crate::rename::{FreeList, Rat};
 use crate::rob::{RobArena, RobHandle};
 use crate::sched::{pack_pos, ArrivalRing, Calendar, Part, PartRef, SchedState, Wake, WastedRing};
 use sb_core::{
-    BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintTracker, Scheme, SchemeConfig,
-    ShadowKind, SpeculationTracker, ThreatModel,
+    BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintTracker, Scheme,
+    SchemeConfig, ShadowKind, SpeculationTracker, ThreatModel,
 };
 use sb_isa::{OpClass, PhysReg, Seq, Trace};
 use sb_mem::{AccessKind, Attribution, MemoryHierarchy, ServedBy};
@@ -659,7 +659,7 @@ impl Core {
         if self.rob.len() >= self.config.rob_entries || self.iq_count >= self.config.iq_entries {
             return DispatchOutlook::Resource;
         }
-        match op.class {
+        match op.class() {
             OpClass::Load if self.lq.len() >= self.config.lq_entries => {
                 return DispatchOutlook::Resource;
             }
@@ -949,7 +949,7 @@ impl Core {
             // the observer's note_squash, like cache fills.
             if let Some(pred) = self.predictor.as_mut() {
                 let cold = self.rob.cold(idx);
-                if let (Some(ctrl), Some(pht_idx)) = (cold.op.ctrl, cold.pht_index()) {
+                if let (Some(ctrl), Some(pht_idx)) = (cold.op.ctrl(), cold.pht_index()) {
                     let ev = pred.train(pht_idx, ctrl.pc, ctrl.taken, ctrl.target);
                     let attr = Attribution {
                         seq,
@@ -1892,7 +1892,7 @@ impl Core {
                 blocked_by_resource = true;
                 break;
             }
-            match op.class {
+            match op.class() {
                 OpClass::Load if self.lq.len() >= self.config.lq_entries => {
                     blocked_by_resource = true;
                     break;
@@ -1925,7 +1925,7 @@ impl Core {
             let mut pht_index = None;
             let mut dyn_mispredict = None;
             let mut ghr_event = None;
-            if let (Some(pred), Some(ctrl)) = (self.predictor.as_mut(), op.ctrl) {
+            if let (Some(pred), Some(ctrl)) = (self.predictor.as_mut(), op.ctrl()) {
                 pht_index = Some(pred.pht_index(ctrl.pc));
                 if matches!(fetched, Fetched::Correct(_)) {
                     dyn_mispredict = Some(pred.mispredicts(ctrl.pc, ctrl.taken, ctrl.target));
@@ -1967,7 +1967,7 @@ impl Core {
             }
 
             // Rename.
-            for (i, src) in [op.src1, op.src2].into_iter().enumerate() {
+            for (i, src) in [op.src1(), op.src2()].into_iter().enumerate() {
                 if let Some(r) = src.filter(|r| !r.is_zero()) {
                     inst.set_src_preg(i, self.rat.lookup(r));
                 }
@@ -1984,7 +1984,7 @@ impl Core {
             // exist (a shadow does not cover its caster). The LQ/SQ index
             // maintenance rides along (both modes; cheap and keeps the
             // modes structurally identical for the differential tests).
-            match op.class {
+            match op.class() {
                 OpClass::Branch => {
                     cold.set_shadow_token(self.tracker.cast(seq, ShadowKind::Control));
                     inst.set_br_tag(true);
@@ -2029,7 +2029,7 @@ impl Core {
             // sources are already in hand, so no revalidation is needed.
             if self.scheduler == SchedulerKind::EventWheel {
                 let gen = handle.gen;
-                if op.class == OpClass::Store {
+                if op.class() == OpClass::Store {
                     self.route_dispatched((arrival, Part::StoreAddr, gen), srcs[0]);
                     self.route_dispatched((arrival, Part::StoreData, gen), srcs[1]);
                 } else {
@@ -2068,8 +2068,8 @@ impl Core {
                 RenameGroupOp {
                     seq,
                     srcs: [
-                        op.src1.filter(|r| !r.is_zero()),
-                        op.src2.filter(|r| !r.is_zero()),
+                        op.src1().filter(|r| !r.is_zero()),
+                        op.src2().filter(|r| !r.is_zero()),
                     ],
                     dst: op.dest(),
                     is_load: op.is_load(),

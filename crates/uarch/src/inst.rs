@@ -7,7 +7,7 @@
 //! core of fields — sequence number, phase, renamed registers, the packed
 //! status flags, the memory address and the gating taint root. Keeping
 //! exactly that core in a ≤64-byte record (pinned by a compile-time
-//! assertion and `hot_inst_fits_a_cache_line`) doubles the number of ROB
+//! assertion and `hot_record_stays_within_a_cache_line`) doubles the number of ROB
 //! entries per cache line compared to the former single ~200-byte `Inst`
 //! struct; everything the hot loops do not need — the decoded micro-op,
 //! squash-walk rename state, wrong-path bookkeeping, diagnostics — lives
@@ -136,7 +136,7 @@ impl HotInst {
         if op.is_mispredicted() {
             flags |= Self::MISPREDICTED;
         }
-        let (mem_addr, mem_bytes) = match op.mem {
+        let (mem_addr, mem_bytes) = match op.mem() {
             Some(m) => {
                 flags |= Self::HAS_MEM;
                 (m.addr, m.bytes)
@@ -153,7 +153,7 @@ impl HotInst {
             src_pregs: [NO_PREG; 2],
             dst_preg: NO_PREG,
             flags,
-            class: op.class,
+            class: op.class(),
             phase: Phase::Waiting,
             mem_bytes,
         }
@@ -464,7 +464,7 @@ mod tests {
     fn mem_access_round_trips_through_the_packed_fields() {
         let op = MicroOp::load(ArchReg::int(1), ArchReg::int(2), 0xdead_beef, 4);
         let h = HotInst::new(Seq::new(3), op, false);
-        assert_eq!(h.mem(), op.mem);
+        assert_eq!(h.mem(), op.mem());
     }
 
     #[test]
@@ -508,6 +508,16 @@ mod tests {
             std::mem::size_of::<HotInst>() <= 64,
             "HotInst is {} bytes; the hot loops budget one cache line",
             std::mem::size_of::<HotInst>()
+        );
+    }
+
+    #[test]
+    fn micro_op_fits_32_bytes() {
+        assert!(
+            std::mem::size_of::<MicroOp>() <= 32,
+            "MicroOp is {} bytes; a decoded trace and every ColdInst hold one \
+             per instruction, budgeted at half a cache line",
+            std::mem::size_of::<MicroOp>()
         );
     }
 }

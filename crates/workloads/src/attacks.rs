@@ -1039,7 +1039,7 @@ mod tests {
         let transmit = wp.ops[2];
         assert!(transmit.is_load());
         assert_eq!(
-            transmit.mem.unwrap().addr,
+            transmit.mem().unwrap().addr,
             PROBE_BASE + 7 * PROBE_STRIDE,
             "transmit address encodes the secret"
         );
@@ -1057,8 +1057,8 @@ mod tests {
             .find(|&i| k.trace.op(i).is_load())
             .unwrap();
         assert_eq!(
-            k.trace.op(store_idx).mem.unwrap().addr,
-            k.trace.op(bypass_idx).mem.unwrap().addr,
+            k.trace.op(store_idx).mem().unwrap().addr,
+            k.trace.op(bypass_idx).mem().unwrap().addr,
             "the load must alias the late store"
         );
     }
@@ -1077,7 +1077,7 @@ mod tests {
             let br = (0..k.trace.len())
                 .find(|&i| k.trace.op(i).is_mispredicted())
                 .unwrap();
-            k.trace.wrong_path(br).unwrap().ops[2].mem.unwrap().addr
+            k.trace.wrong_path(br).unwrap().ops[2].mem().unwrap().addr
         };
         assert_ne!(addr(&a), addr(&b));
         assert_eq!(addr(&b) - addr(&a), PROBE_STRIDE);
@@ -1093,8 +1093,8 @@ mod tests {
         let addrs: Vec<u64> = wp
             .ops
             .iter()
-            .filter(|o| o.is_load() && o.mem.unwrap().addr >= AMP_BASE)
-            .map(|o| o.mem.unwrap().addr)
+            .filter(|o| o.is_load() && o.mem().unwrap().addr >= AMP_BASE)
+            .map(|o| o.mem().unwrap().addr)
             .collect();
         assert_eq!(
             addrs,
@@ -1121,11 +1121,11 @@ mod tests {
         let fwd_load = wp
             .ops
             .iter()
-            .find(|o| o.is_load() && o.mem.unwrap().addr == store.mem.unwrap().addr)
+            .find(|o| o.is_load() && o.mem().unwrap().addr == store.mem().unwrap().addr)
             .expect("a wrong-path load aliases the wrong-path store");
-        assert!(fwd_load.dst.is_some());
+        assert!(fwd_load.dst().is_some());
         let transmit = wp.ops.last().unwrap();
-        assert_eq!(transmit.mem.unwrap().addr, PROBE_BASE + 9 * PROBE_STRIDE);
+        assert_eq!(transmit.mem().unwrap().addr, PROBE_BASE + 9 * PROBE_STRIDE);
     }
 
     #[test]
@@ -1145,7 +1145,7 @@ mod tests {
         let transmit_pos = wp
             .ops
             .iter()
-            .position(|o| o.is_load() && o.mem.is_some_and(|m| m.addr >= PROBE_BASE));
+            .position(|o| o.is_load() && o.mem().is_some_and(|m| m.addr >= PROBE_BASE));
         let branch_pos = wp.ops.iter().position(MicroOp::is_branch);
         assert!(
             branch_pos < transmit_pos,
@@ -1228,8 +1228,8 @@ mod tests {
         // The transient branch's pc lands on PHT index == secret, and the
         // window branch sits outside the judged 16-slot channel.
         let wrong = &k.trace.wrong_paths().next().unwrap().1.ops;
-        let transient_branch = wrong.iter().find(|o| o.ctrl.is_some()).unwrap();
-        let ctrl = transient_branch.ctrl.unwrap();
+        let transient_branch = wrong.iter().find(|o| o.ctrl().is_some()).unwrap();
+        let ctrl = transient_branch.ctrl().unwrap();
         assert_eq!(ctrl.pc % params.pht_entries as u64, 7);
         assert!(!ctrl.taken, "pht kernel keeps the btb clean");
         assert!(PHT_WINDOW_PC % params.pht_entries as u64 >= PROBE_ENTRIES as u64);
@@ -1250,7 +1250,7 @@ mod tests {
         // The transmit rides the cache channel like v1.
         assert_eq!(k.channel_kind, ChannelKind::CacheState);
         let wrong = &k.trace.wrong_paths().next().unwrap().1.ops;
-        let transmit = wrong.iter().filter_map(|o| o.mem).next_back().unwrap();
+        let transmit = wrong.iter().filter_map(|o| o.mem()).next_back().unwrap();
         assert_eq!(transmit.addr, k.channel.slot_addr(3));
     }
 
@@ -1259,7 +1259,7 @@ mod tests {
         let k = spectre_v2_squash_kernel(4);
         let params = k.predictor.expect("v2 kernels carry predictor params");
         let wrong = &k.trace.wrong_paths().next().unwrap().1.ops;
-        let ctrl = wrong.iter().find_map(|o| o.ctrl).unwrap();
+        let ctrl = wrong.iter().find_map(|o| o.ctrl()).unwrap();
         assert!(ctrl.taken, "a taken transient branch also fills the btb");
         assert_eq!(ctrl.pc % params.pht_entries as u64, 4);
         assert_eq!(ctrl.pc % params.btb_entries as u64, 4);
@@ -1278,11 +1278,11 @@ mod tests {
         ] {
             let wrong = &k.trace.wrong_paths().next().unwrap().1.ops;
             let secret_load = wrong.first().unwrap();
-            let dst = secret_load.dst.expect("transient secret load has a dst");
+            let dst = secret_load.dst().expect("transient secret load has a dst");
             assert!(
                 wrong[1..]
                     .iter()
-                    .any(|o| o.src1 == Some(dst) || o.src2 == Some(dst)),
+                    .any(|o| o.src1() == Some(dst) || o.src2() == Some(dst)),
                 "{}: transient payload must consume the secret register",
                 k.trace.name()
             );
@@ -1297,7 +1297,7 @@ mod tests {
             .trace
             .iter()
             .take(PROBE_ENTRIES * EVSET_WAYS)
-            .map(|o| o.mem.expect("prime load").addr)
+            .map(|o| o.mem().expect("prime load").addr)
             .collect();
         assert_eq!(prime_loads.len(), 128);
         // Way 0 of the secret's set is the channel slot for secret 9.
@@ -1311,7 +1311,7 @@ mod tests {
         let br = (0..k.trace.len())
             .find(|&i| k.trace.op(i).is_mispredicted())
             .unwrap();
-        let target = k.trace.wrong_path(br).unwrap().ops[2].mem.unwrap().addr;
+        let target = k.trace.wrong_path(br).unwrap().ops[2].mem().unwrap().addr;
         assert_eq!(set_of(target), set_of(k.channel.slot_addr(9)));
         assert!(!prime_loads.contains(&target));
     }
@@ -1326,8 +1326,8 @@ mod tests {
         let burst: Vec<u64> = wp
             .ops
             .iter()
-            .filter(|o| o.is_load() && o.mem.unwrap().addr >= CONT_BASE)
-            .map(|o| o.mem.unwrap().addr)
+            .filter(|o| o.is_load() && o.mem().unwrap().addr >= CONT_BASE)
+            .map(|o| o.mem().unwrap().addr)
             .collect();
         assert_eq!(burst.len(), CONT_BURST);
         for (i, &a) in burst.iter().enumerate() {
@@ -1343,7 +1343,7 @@ mod tests {
         // The transmit's taint root (the forwarding load) sits BEFORE the
         // mispredicted branch: the branch's C-shadow never covers it.
         let root_idx = (0..k.trace.len())
-            .find(|&i| k.trace.op(i).is_load() && k.trace.op(i).mem.unwrap().addr == 0x2700_0000)
+            .find(|&i| k.trace.op(i).is_load() && k.trace.op(i).mem().unwrap().addr == 0x2700_0000)
             .expect("forwarding load");
         let store_idx = (0..k.trace.len())
             .find(|&i| k.trace.op(i).is_store())
@@ -1354,14 +1354,14 @@ mod tests {
         assert!(store_idx < root_idx, "the secret crosses the SQ");
         assert!(root_idx < br_idx, "root precedes the window branch");
         assert_eq!(
-            k.trace.op(store_idx).mem.unwrap().addr,
-            k.trace.op(root_idx).mem.unwrap().addr,
+            k.trace.op(store_idx).mem().unwrap().addr,
+            k.trace.op(root_idx).mem().unwrap().addr,
             "the root load forwards from the secret store"
         );
         // The branch-operand chain is load-free: never tainted.
         let wp = k.trace.wrong_path(br_idx).unwrap();
         assert_eq!(
-            wp.ops.last().unwrap().mem.unwrap().addr,
+            wp.ops.last().unwrap().mem().unwrap().addr,
             PROBE_BASE + 4 * PROBE_STRIDE
         );
         assert_eq!(k.min_model, ThreatModel::Futuristic);

@@ -688,11 +688,11 @@ mod tests {
         let store_addrs: std::collections::HashSet<u64> = t
             .iter()
             .filter(|o| o.is_store())
-            .map(|o| o.mem.unwrap().addr)
+            .map(|o| o.mem().unwrap().addr)
             .collect();
         let aliasing = t
             .iter()
-            .filter(|o| o.is_load() && store_addrs.contains(&o.mem.unwrap().addr))
+            .filter(|o| o.is_load() && store_addrs.contains(&o.mem().unwrap().addr))
             .count();
         let loads = t.iter().filter(|o| o.is_load()).count();
         assert!(
@@ -708,7 +708,7 @@ mod tests {
         let addrs: Vec<u64> = t
             .iter()
             .filter(|o| o.is_load())
-            .map(|o| o.mem.unwrap().addr)
+            .map(|o| o.mem().unwrap().addr)
             .collect();
         // The load address stream interleaves with stores, but deltas must
         // be small and non-negative most of the time (one wrap allowed).
@@ -724,7 +724,7 @@ mod tests {
         for p in spec2017_profiles() {
             let t = generate(&p, 5_000, 13);
             for op in t.iter() {
-                if let Some(m) = op.mem {
+                if let Some(m) = op.mem() {
                     assert!(m.addr >= DATA_BASE);
                     assert!(m.addr < DATA_BASE + p.footprint + 64, "{}", p.name);
                 }
