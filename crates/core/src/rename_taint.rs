@@ -92,7 +92,8 @@ impl RenameTaintCheckpoint {
 ///     RenameGroupOp { seq: Seq::new(2), srcs: [Some(ArchReg::int(1)), Some(ArchReg::int(4))],
 ///                     dst: Some(ArchReg::int(3)), is_load: false, speculative: true },
 /// ];
-/// let out = t.rename_group(&group, |_| true);
+/// let mut out = Vec::new();
+/// t.rename_group(&group, |_| true, &mut out);
 /// assert_eq!(out[1].yrot, Some(Seq::new(1)), "add inherits the load's taint same-cycle");
 /// assert_eq!(out[1].chain_depth, 2, "and pays a serial chain step for it");
 /// ```
@@ -130,8 +131,9 @@ impl RenameTaintTracker {
     }
 
     /// Computes YRoTs for a same-cycle rename group, updating the RAT taint
-    /// state, and returns each op's outcome including its serial chain
-    /// depth.
+    /// state, and replaces the contents of `out` with each op's outcome
+    /// (including its serial chain depth), in group order. The caller owns
+    /// `out` so a core can reuse one buffer every cycle.
     ///
     /// `live` reports whether a taint root is still speculative; dead taints
     /// read as untainted (the continuous untaint rule of §3.1).
@@ -142,11 +144,12 @@ impl RenameTaintTracker {
         &mut self,
         ops: &[RenameGroupOp],
         live: impl Fn(Seq) -> bool,
-    ) -> Vec<RenameTaintOutcome> {
+        out: &mut Vec<RenameTaintOutcome>,
+    ) {
         // Depth of the taint value currently held by each arch reg *within
         // this group* (0 = produced before this cycle).
         let mut depth = [0u32; NUM_ARCH_REGS];
-        let mut out = Vec::with_capacity(ops.len());
+        out.clear();
         for op in ops {
             let mut src_yrot = [None, None];
             let mut src_depth = [0u32, 0u32];
@@ -185,7 +188,6 @@ impl RenameTaintTracker {
                 prev_dst_taint,
             });
         }
-        out
     }
 
     /// Snapshots the taint state (taken together with the RAT checkpoint
@@ -273,7 +275,12 @@ mod tests {
     #[test]
     fn speculative_load_roots_taint() {
         let mut t = RenameTaintTracker::new();
-        let out = t.rename_group(&[op(1, [Some(x(2)), None], Some(x(1)), true)], |_| true);
+        let mut out = Vec::new();
+        t.rename_group(
+            &[op(1, [Some(x(2)), None], Some(x(1)), true)],
+            |_| true,
+            &mut out,
+        );
         assert_eq!(out[0].yrot, None, "address operand untainted");
         assert_eq!(t.taint_of(x(1)), Some(Seq::new(1)));
     }
@@ -281,22 +288,24 @@ mod tests {
     #[test]
     fn nonspeculative_load_does_not_taint() {
         let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
         let mut o = op(1, [Some(x(2)), None], Some(x(1)), true);
         o.speculative = false;
-        t.rename_group(&[o], |_| true);
+        t.rename_group(&[o], |_| true, &mut out);
         assert_eq!(t.taint_of(x(1)), None);
     }
 
     #[test]
     fn same_cycle_chain_propagates_and_deepens() {
         let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
         // ld x1,[x2]; add x3,x1; add x4,x3  — a full-width serial chain.
         let group = [
             op(1, [Some(x(2)), None], Some(x(1)), true),
             op(2, [Some(x(1)), None], Some(x(3)), false),
             op(3, [Some(x(3)), None], Some(x(4)), false),
         ];
-        let out = t.rename_group(&group, |_| true);
+        t.rename_group(&group, |_| true, &mut out);
         assert_eq!(out[1].yrot, Some(Seq::new(1)));
         assert_eq!(out[2].yrot, Some(Seq::new(1)));
         assert_eq!(out[0].chain_depth, 1);
@@ -308,27 +317,31 @@ mod tests {
     #[test]
     fn independent_ops_have_unit_depth() {
         let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
         let group = [
             op(1, [Some(x(2)), None], Some(x(1)), true),
             op(2, [Some(x(5)), None], Some(x(6)), false),
         ];
-        let out = t.rename_group(&group, |_| true);
+        t.rename_group(&group, |_| true, &mut out);
         assert_eq!(out[1].chain_depth, 1);
     }
 
     #[test]
     fn youngest_root_wins() {
         let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
         t.rename_group(
             &[
                 op(1, [Some(x(9)), None], Some(x(1)), true),
                 op(2, [Some(x(9)), None], Some(x(2)), true),
             ],
             |_| true,
+            &mut out,
         );
-        let out = t.rename_group(
+        t.rename_group(
             &[op(3, [Some(x(1)), Some(x(2))], Some(x(3)), false)],
             |_| true,
+            &mut out,
         );
         assert_eq!(
             out[0].yrot,
@@ -340,11 +353,18 @@ mod tests {
     #[test]
     fn dead_roots_read_untainted() {
         let mut t = RenameTaintTracker::new();
-        t.rename_group(&[op(1, [Some(x(2)), None], Some(x(1)), true)], |_| true);
+        let mut out = Vec::new();
+        t.rename_group(
+            &[op(1, [Some(x(2)), None], Some(x(1)), true)],
+            |_| true,
+            &mut out,
+        );
         // Root #1 no longer speculative: consumer sees no taint.
-        let out = t.rename_group(&[op(2, [Some(x(1)), None], Some(x(3)), false)], |root| {
-            root > Seq::new(1)
-        });
+        t.rename_group(
+            &[op(2, [Some(x(1)), None], Some(x(3)), false)],
+            |root| root > Seq::new(1),
+            &mut out,
+        );
         assert_eq!(out[0].yrot, None);
         assert_eq!(t.taint_of(x(3)), None);
     }
@@ -352,17 +372,35 @@ mod tests {
     #[test]
     fn overwrite_clears_taint() {
         let mut t = RenameTaintTracker::new();
-        t.rename_group(&[op(1, [Some(x(2)), None], Some(x(1)), true)], |_| true);
-        t.rename_group(&[op(2, [Some(x(9)), None], Some(x(1)), false)], |_| true);
+        let mut out = Vec::new();
+        t.rename_group(
+            &[op(1, [Some(x(2)), None], Some(x(1)), true)],
+            |_| true,
+            &mut out,
+        );
+        t.rename_group(
+            &[op(2, [Some(x(9)), None], Some(x(1)), false)],
+            |_| true,
+            &mut out,
+        );
         assert_eq!(t.taint_of(x(1)), None, "untainted producer overwrites");
     }
 
     #[test]
     fn split_store_outcomes_separate_operands() {
         let mut t = RenameTaintTracker::new();
-        t.rename_group(&[op(1, [Some(x(2)), None], Some(x(1)), true)], |_| true);
+        let mut out = Vec::new();
+        t.rename_group(
+            &[op(1, [Some(x(2)), None], Some(x(1)), true)],
+            |_| true,
+            &mut out,
+        );
         // store addr=x5 (clean), data=x1 (tainted)
-        let out = t.rename_group(&[op(2, [Some(x(5)), Some(x(1))], None, false)], |_| true);
+        t.rename_group(
+            &[op(2, [Some(x(5)), Some(x(1))], None, false)],
+            |_| true,
+            &mut out,
+        );
         assert_eq!(out[0].addr_yrot, None, "address operand is clean");
         assert_eq!(out[0].data_yrot, Some(Seq::new(1)));
         assert_eq!(out[0].yrot, Some(Seq::new(1)), "unified taint blocks both");
@@ -371,16 +409,22 @@ mod tests {
     #[test]
     fn checkpoint_restore_scrubs_dead_taints() {
         let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
         t.rename_group(
             &[
                 op(1, [Some(x(9)), None], Some(x(1)), true),
                 op(2, [Some(x(9)), None], Some(x(2)), true),
             ],
             |_| true,
+            &mut out,
         );
         let cp = t.checkpoint();
         assert_eq!(cp.tainted_count(), 2);
-        t.rename_group(&[op(3, [Some(x(9)), None], Some(x(1)), true)], |_| true);
+        t.rename_group(
+            &[op(3, [Some(x(9)), None], Some(x(1)), true)],
+            |_| true,
+            &mut out,
+        );
         // Restore with root #1 now dead, root #2 still live.
         t.restore(&cp, |root| root > Seq::new(1));
         assert_eq!(t.taint_of(x(1)), None, "stale entry scrubbed on restore");
@@ -390,7 +434,12 @@ mod tests {
     #[test]
     fn clear_untaints_everything() {
         let mut t = RenameTaintTracker::new();
-        t.rename_group(&[op(1, [Some(x(2)), None], Some(x(1)), true)], |_| true);
+        let mut out = Vec::new();
+        t.rename_group(
+            &[op(1, [Some(x(2)), None], Some(x(1)), true)],
+            |_| true,
+            &mut out,
+        );
         t.clear();
         assert_eq!(t.tainted_count(), 0);
     }
@@ -398,10 +447,34 @@ mod tests {
     #[test]
     fn comparisons_are_counted() {
         let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
         t.rename_group(
             &[op(1, [Some(x(2)), Some(x(3))], Some(x(1)), false)],
             |_| true,
+            &mut out,
         );
         assert_eq!(t.comparisons(), 2);
+    }
+
+    #[test]
+    fn each_group_replaces_the_previous_outcomes() {
+        let mut t = RenameTaintTracker::new();
+        let mut out = Vec::new();
+        t.rename_group(
+            &[
+                op(1, [Some(x(9)), None], Some(x(1)), true),
+                op(2, [Some(x(1)), None], Some(x(2)), false),
+            ],
+            |_| true,
+            &mut out,
+        );
+        assert_eq!(out.len(), 2);
+        t.rename_group(
+            &[op(3, [Some(x(2)), None], Some(x(3)), false)],
+            |_| true,
+            &mut out,
+        );
+        assert_eq!(out.len(), 1, "a reused buffer holds only the latest group");
+        assert_eq!(out[0].yrot, Some(Seq::new(1)));
     }
 }

@@ -93,7 +93,7 @@ use crate::rename::{FreeList, Rat};
 use crate::rob::{RobArena, RobHandle};
 use crate::sched::{pack_pos, ArrivalRing, Calendar, Part, PartRef, SchedState, Wake, WastedRing};
 use sb_core::{
-    BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintTracker, Scheme,
+    BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintOutcome, RenameTaintTracker, Scheme,
     SchemeConfig, ShadowKind, SpeculationTracker, ThreatModel,
 };
 use sb_isa::{OpClass, PhysReg, Seq, Trace};
@@ -294,6 +294,7 @@ pub struct Core {
     unpark_scratch: Vec<PartRef>,
     group_scratch: Vec<usize>,
     rename_ops_scratch: Vec<RenameGroupOp>,
+    rename_outcomes_scratch: Vec<RenameTaintOutcome>,
     nda_scratch: Vec<(Seq, PhysReg)>,
     /// Arrival indexes of in-flight loads, oldest first (the LQ), at
     /// monotone positions (each load records the SQ tail in its
@@ -373,6 +374,7 @@ impl Core {
             unpark_scratch: Vec::new(),
             group_scratch: Vec::new(),
             rename_ops_scratch: Vec::new(),
+            rename_outcomes_scratch: Vec::new(),
             nda_scratch: Vec::new(),
             lq: ArrivalRing::new(config.lq_entries),
             sq: ArrivalRing::new(config.sq_entries),
@@ -2076,10 +2078,10 @@ impl Core {
                     speculative: self.tracker.is_speculative(seq),
                 }
             }));
+            let mut outcomes = std::mem::take(&mut self.rename_outcomes_scratch);
             let tracker = &self.tracker;
-            let outcomes = self
-                .rename_taint
-                .rename_group(&ops, |root| tracker.taint_live(root));
+            self.rename_taint
+                .rename_group(&ops, |root| tracker.taint_live(root), &mut outcomes);
             for ((&i, op), out) in group.iter().zip(&ops).zip(&outcomes) {
                 let inst = self.rob.hot_mut(i);
                 if let Some(root) = out.yrot {
@@ -2096,6 +2098,7 @@ impl Core {
                 }
             }
             self.rename_ops_scratch = ops;
+            self.rename_outcomes_scratch = outcomes;
         }
         self.group_scratch = group;
     }

@@ -175,11 +175,14 @@ proptest! {
             })
             .collect();
         let mut grouped = RenameTaintTracker::new();
-        let out_group = grouped.rename_group(&group, |_| true);
+        let mut out_group = Vec::new();
+        grouped.rename_group(&group, |_| true, &mut out_group);
         let mut serial = RenameTaintTracker::new();
         let mut out_serial = Vec::new();
+        let mut out_one = Vec::new();
         for op in &group {
-            out_serial.extend(serial.rename_group(std::slice::from_ref(op), |_| true));
+            serial.rename_group(std::slice::from_ref(op), |_| true, &mut out_one);
+            out_serial.extend_from_slice(&out_one);
         }
         for r in ArchReg::all() {
             prop_assert_eq!(grouped.taint_of(r), serial.taint_of(r));
