@@ -28,7 +28,9 @@
 //! one bounds check plus a branch-light parse per `chunks_exact` record
 //! instead of a variable-length cursor walk. Register slots use `0xFF` for
 //! "none"; branch outcome bits live in the flags byte; `addr`/`bytes` are
-//! zero when the mem flag is clear. The checksum folds the payload eight
+//! zero when the mem flag is clear. The flags byte and register codes are
+//! the ones an in-memory [`MicroOp`] packs (`op.rs` defines them), so
+//! encoding copies them. The checksum folds the payload eight
 //! bytes at a time (a byte-at-a-time FNV-1a chain was measured dominating
 //! warm cache loads); each fold step is xor-then-odd-multiply, bijective in
 //! the data word, so any single corrupted byte still changes the digest.
@@ -162,11 +164,6 @@ fn class_from_code(code: u8) -> Option<OpClass> {
     })
 }
 
-fn reg_code(reg: Option<ArchReg>) -> u8 {
-    #[allow(clippy::cast_possible_truncation)] // index() < NUM_ARCH_REGS = 64
-    reg.map_or(REG_NONE, |r| r.index() as u8)
-}
-
 fn reg_from_code(code: u8) -> Result<Option<ArchReg>, CodecError> {
     if code == REG_NONE {
         return Ok(None);
@@ -178,31 +175,21 @@ fn reg_from_code(code: u8) -> Result<Option<ArchReg>, CodecError> {
 }
 
 fn encode_op(op: &MicroOp, version: u32, out: &mut Vec<u8>) {
+    // Absent fields stay zero in the record, as in the op. A version-1
+    // record is the first 14 bytes: its ops carry no pc or target.
+    let (flags, regs) = op.codes();
     let mut rec = [0u8; OP_RECORD_V2];
-    let mut flags = 0u8;
-    if let Some(c) = op.ctrl() {
-        flags |= FLAG_CTRL;
-        if c.taken {
-            flags |= FLAG_TAKEN;
-        }
-        if c.mispredicted {
-            flags |= FLAG_MISPREDICTED;
-        }
-        if version >= 2 {
-            rec[14..22].copy_from_slice(&c.pc.to_le_bytes());
-            rec[22..30].copy_from_slice(&c.target.to_le_bytes());
-        }
-    }
+    rec[0] = class_code(op.class());
+    rec[1] = flags;
+    rec[2..5].copy_from_slice(&regs);
     if let Some(m) = op.mem() {
-        flags |= FLAG_MEM;
         rec[5..13].copy_from_slice(&m.addr.to_le_bytes());
         rec[13] = m.bytes;
     }
-    rec[0] = class_code(op.class());
-    rec[1] = flags;
-    rec[2] = reg_code(op.dst());
-    rec[3] = reg_code(op.src1());
-    rec[4] = reg_code(op.src2());
+    if let Some(c) = op.ctrl() {
+        rec[14..22].copy_from_slice(&c.pc.to_le_bytes());
+        rec[22..30].copy_from_slice(&c.target.to_le_bytes());
+    }
     out.extend_from_slice(&rec[..op_record_len(version)]);
 }
 

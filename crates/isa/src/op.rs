@@ -389,6 +389,12 @@ impl MicroOp {
         unpack_reg(self.regs[2])
     }
 
+    /// The flags byte and the `dst`, `src1`, `src2` register codes, as a
+    /// trace-codec record stores them.
+    pub(crate) fn codes(&self) -> (u8, [u8; 3]) {
+        (self.flags, self.regs)
+    }
+
     /// Memory access; loads and stores carry one.
     #[must_use]
     pub fn mem(&self) -> Option<MemAccess> {

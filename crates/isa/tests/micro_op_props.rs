@@ -24,7 +24,14 @@ fn build(f: Fields) -> MicroOp {
 }
 
 fn read(op: &MicroOp) -> Fields {
-    (op.class(), op.dst(), op.src1(), op.src2(), op.mem(), op.ctrl())
+    (
+        op.class(),
+        op.dst(),
+        op.src1(),
+        op.src2(),
+        op.mem(),
+        op.ctrl(),
+    )
 }
 
 /// A 64-bit word that is 0 or `u64::MAX` half the time.
@@ -55,21 +62,29 @@ fn mem() -> impl Strategy<Value = Option<MemAccess>> {
 }
 
 fn ctrl() -> impl Strategy<Value = Option<CtrlFlow>> {
-    ((any::<bool>(), any::<bool>(), any::<bool>()), word(), word()).prop_map(
-        |((present, taken, mispredicted), pc, target)| {
+    (
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        word(),
+        word(),
+    )
+        .prop_map(|((present, taken, mispredicted), pc, target)| {
             present.then_some(CtrlFlow {
                 taken,
                 mispredicted,
                 pc,
                 target,
             })
-        },
-    )
+        })
 }
 
 fn fields() -> impl Strategy<Value = Fields> {
     (
-        ((0usize..10).prop_map(|i| OpClass::all()[i]), reg(), reg(), reg()),
+        (
+            (0usize..10).prop_map(|i| OpClass::all()[i]),
+            reg(),
+            reg(),
+            reg(),
+        ),
         mem(),
         ctrl(),
     )
