@@ -30,10 +30,10 @@
 //! "none"; branch outcome bits live in the flags byte; `addr`/`bytes` are
 //! zero when the mem flag is clear. The flags byte and register codes are
 //! the ones an in-memory [`MicroOp`] packs (`op.rs` defines them), so
-//! encoding copies them. The checksum folds the payload eight
-//! bytes at a time (a byte-at-a-time FNV-1a chain was measured dominating
-//! warm cache loads); each fold step is xor-then-odd-multiply, bijective in
-//! the data word, so any single corrupted byte still changes the digest.
+//! encoding copies them. The checksum folds the payload eight bytes at a
+//! time (a byte-at-a-time FNV-1a chain was measured dominating warm cache
+//! loads); each fold step is xor-then-odd-multiply, bijective in the data
+//! word, so any single corrupted byte still changes the digest.
 //!
 //! A **version-2** record appends `pc u64, target u64` (30 bytes total,
 //! still fixed-size — zero for non-branches) so traces can carry the

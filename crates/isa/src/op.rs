@@ -184,13 +184,13 @@ pub(crate) const FLAG_MISPREDICTED: u8 = 1 << 3;
 /// A decoded micro-op: the unit the rename stage, issue queue, and LSU
 /// operate on.
 ///
-/// The op is packed into 32 bytes (pinned at compile time below), since
-/// a decoded trace holds one per dynamic instruction: the three 64-bit
-/// words come first, then the class, a flags byte saying which of the
-/// memory access and the branch outcome are present, the three register
-/// codes ([`REG_NONE`] = none) and the access size. Absent fields stay
-/// zero, so the derived `Eq` and `Hash` are field-wise equality of what
-/// the accessors return.
+/// The op is packed into 32 bytes (a compile-time assertion pins the
+/// size), since a decoded trace holds one per dynamic instruction: the
+/// three 64-bit words come first, then the class, a flags byte saying
+/// which of the memory access and the branch outcome are present, the
+/// three register codes (`0xFF` = none) and the access size. Absent
+/// fields stay zero, so the derived `Eq` and `Hash` are field-wise
+/// equality of what the accessors return.
 ///
 /// # Example
 ///

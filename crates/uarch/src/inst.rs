@@ -7,12 +7,13 @@
 //! core of fields — sequence number, phase, renamed registers, the packed
 //! status flags, the memory address and the gating taint root. Keeping
 //! exactly that core in a ≤64-byte record (pinned by a compile-time
-//! assertion and `hot_record_stays_within_a_cache_line`) doubles the number of ROB
-//! entries per cache line compared to the former single ~200-byte `Inst`
-//! struct; everything the hot loops do not need — the decoded micro-op,
-//! squash-walk rename state, wrong-path bookkeeping, diagnostics — lives
-//! in the cold sidecar slab of the [`crate::rob::RobArena`], touched only
-//! at dispatch, squash and rare slow paths.
+//! assertion and `hot_record_stays_within_a_cache_line`) doubles the
+//! number of ROB entries per cache line compared to the former single
+//! ~200-byte `Inst` struct; everything the hot loops do not need — the
+//! decoded micro-op, squash-walk rename state, wrong-path bookkeeping,
+//! diagnostics — lives in the cold sidecar slab of the
+//! [`crate::rob::RobArena`], touched only at dispatch, squash and rare
+//! slow paths.
 //!
 //! Packing conventions:
 //! * physical registers are `u16` with [`NO_PREG`] meaning "none",

@@ -4,7 +4,10 @@
 //! SPEC CPU2017 (instruction mixes, MPKI, and footprints are widely
 //! reported) and from the behaviours the paper itself attributes to
 //! specific benchmarks (§8.1, §9.2). They are *workload models*, not
-//! measurements; EXPERIMENTS.md discusses the calibration.
+//! measurements. To see how far the models land from the paper, run
+//! `sb-experiments all` (README, "Reproducing the paper's evaluation"):
+//! table 1, figure 6 and the later reports print the paper's values
+//! beside the measured ones.
 
 use std::fmt;
 
