@@ -236,24 +236,27 @@ where
     let outcomes = pool::run_ordered_outcomes(order, policy.workers, |i| {
         run_one_job(i, policy, &budget, &f)
     });
-    let mut results = Vec::with_capacity(labels.len());
+    // One move-only pass that collects into the outcomes' own allocation
+    // (std's in-place `collect`), so a batch never holds its results twice.
+    // std does not promise that reuse; `tests/batch_memory.rs` checks it.
     let mut failures = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let cause = match outcome {
-            Ok(Ok(t)) => {
-                results.push(Some(t));
-                continue;
-            }
-            Ok(Err(cause)) => cause,
-            Err(p) => JobFailure::Panicked(p.message),
-        };
-        results.push(None);
-        failures.push(JobError {
-            index: i,
-            label: labels[i].clone(),
-            cause,
-        });
-    }
+    let results = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(i, outcome)| {
+            let cause = match outcome {
+                Ok(Ok(t)) => return Some(t),
+                Ok(Err(cause)) => cause,
+                Err(p) => JobFailure::Panicked(p.message),
+            };
+            failures.push(JobError {
+                index: i,
+                label: labels[i].clone(),
+                cause,
+            });
+            None
+        })
+        .collect();
     BatchReport { results, failures }
 }
 
@@ -416,6 +419,42 @@ mod tests {
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].index, 2);
         assert_eq!(report.failures[0].label, "job-2");
+    }
+
+    /// Mixed ok, failed and panicking jobs, in index and in shuffled start
+    /// order: every result slot, label and failure index is exactly what a
+    /// per-index classification of the outcomes gives.
+    #[test]
+    fn mixed_outcomes_keep_results_labels_and_failure_order() {
+        let n = 30;
+        let body = |ctx: &JobCtx| match ctx.index % 3 {
+            0 => Ok(vec![ctx.index; ctx.index]),
+            1 => Err(JobFailure::permanent(format!("bad input {}", ctx.index))),
+            _ => panic!("job {} exploded", ctx.index),
+        };
+        let want_results: Vec<Option<Vec<usize>>> =
+            (0..n).map(|i| (i % 3 == 0).then(|| vec![i; i])).collect();
+        let want_failures: Vec<JobError> = (0..n)
+            .filter(|i| i % 3 != 0)
+            .map(|i| JobError {
+                index: i,
+                label: format!("job-{i}"),
+                cause: if i % 3 == 1 {
+                    JobFailure::permanent(format!("bad input {i}"))
+                } else {
+                    JobFailure::Panicked(format!("job {i} exploded"))
+                },
+            })
+            .collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for report in [
+            run_batch(&labels(n), &quick_policy(), body),
+            run_batch_in_order(&labels(n), &reversed, &quick_policy(), body),
+        ] {
+            assert_eq!(report.results, want_results);
+            assert_eq!(report.failures, want_failures);
+            assert_eq!(report.survivors(), n / 3);
+        }
     }
 
     #[test]

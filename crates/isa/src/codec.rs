@@ -49,7 +49,6 @@ use crate::op::{
     REG_NONE,
 };
 use crate::trace::{Trace, WrongPathBlock};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Newest on-disk trace format version this build can read and write.
@@ -308,10 +307,10 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     for op in trace.iter() {
         encode_op(op, version, &mut payload);
     }
-    let mut blocks: Vec<(usize, &WrongPathBlock)> = trace.wrong_paths().collect();
-    blocks.sort_unstable_by_key(|&(i, _)| i);
-    payload.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    for (idx, block) in blocks {
+    // `wrong_paths()` yields ascending branch indices, the order the decoder
+    // requires.
+    payload.extend_from_slice(&(trace.wrong_paths().count() as u64).to_le_bytes());
+    for (idx, block) in trace.wrong_paths() {
         payload.extend_from_slice(&(idx as u64).to_le_bytes());
         payload.extend_from_slice(&(block.ops.len() as u64).to_le_bytes());
         for op in &block.ops {
@@ -357,7 +356,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, CodecError> {
     if block_count > bytes.len().saturating_sub(r.pos) / 16 {
         return Err(CodecError::Truncated);
     }
-    let mut wrong_paths = HashMap::with_capacity(block_count);
+    let mut wrong_paths = Vec::with_capacity(block_count);
     let mut prev_idx: Option<usize> = None;
     for _ in 0..block_count {
         let idx = usize::try_from(r.u64()?).map_err(|_| CodecError::Invalid("block index"))?;
@@ -369,7 +368,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, CodecError> {
             return Err(CodecError::Invalid("wrong-path index out of range"));
         }
         let block_ops = r.ops(record_len)?;
-        wrong_paths.insert(idx, WrongPathBlock { ops: block_ops });
+        wrong_paths.push((idx, WrongPathBlock { ops: block_ops }));
     }
     if r.pos != bytes.len() {
         return Err(CodecError::Invalid("trailing bytes"));

@@ -12,7 +12,6 @@
 //! transient execution explicitly.
 
 use crate::op::MicroOp;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Micro-ops fetched down the wrong path after a mispredicted branch, until
@@ -42,17 +41,27 @@ pub struct WrongPathBlock {
 pub struct Trace {
     name: String,
     ops: Vec<MicroOp>,
-    wrong_paths: HashMap<usize, WrongPathBlock>,
+    /// `(branch index, block)` pairs, strictly ascending by index.
+    wrong_paths: Vec<(usize, WrongPathBlock)>,
 }
 
 impl Trace {
     /// Builds a trace from raw parts. Prefer [`TraceBuilder`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wrong-path blocks are not strictly ascending by branch
+    /// index.
     #[must_use]
     pub fn from_parts(
         name: impl Into<String>,
         ops: Vec<MicroOp>,
-        wrong_paths: HashMap<usize, WrongPathBlock>,
+        wrong_paths: Vec<(usize, WrongPathBlock)>,
     ) -> Self {
+        assert!(
+            wrong_paths.windows(2).all(|w| w[0].0 < w[1].0),
+            "wrong-path blocks must be strictly ascending by branch index"
+        );
         Trace {
             name: name.into(),
             ops,
@@ -98,7 +107,8 @@ impl Trace {
     /// `idx`, if any.
     #[must_use]
     pub fn wrong_path(&self, idx: usize) -> Option<&WrongPathBlock> {
-        self.wrong_paths.get(&idx)
+        let at = self.wrong_paths.binary_search_by_key(&idx, |&(i, _)| i);
+        at.ok().map(|at| &self.wrong_paths[at].1)
     }
 
     /// Iterates over the correct-path micro-ops.
@@ -107,9 +117,9 @@ impl Trace {
     }
 
     /// Iterates over all wrong-path blocks as `(branch index, block)` pairs,
-    /// in unspecified order (sort by index for a canonical serialization).
+    /// in ascending branch-index order.
     pub fn wrong_paths(&self) -> impl Iterator<Item = (usize, &WrongPathBlock)> {
-        self.wrong_paths.iter().map(|(&i, b)| (i, b))
+        self.wrong_paths.iter().map(|(i, b)| (*i, b))
     }
 
     /// Fraction of ops in the trace matching a predicate — handy for
@@ -137,7 +147,8 @@ impl fmt::Display for Trace {
 pub struct TraceBuilder {
     name: String,
     ops: Vec<MicroOp>,
-    wrong_paths: HashMap<usize, WrongPathBlock>,
+    /// Kept sorted by branch index, as [`Trace`] stores them.
+    wrong_paths: Vec<(usize, WrongPathBlock)>,
 }
 
 impl TraceBuilder {
@@ -147,7 +158,7 @@ impl TraceBuilder {
         TraceBuilder {
             name: name.into(),
             ops: Vec::new(),
-            wrong_paths: HashMap::new(),
+            wrong_paths: Vec::new(),
         }
     }
 
@@ -224,7 +235,7 @@ impl TraceBuilder {
     }
 
     /// Attaches a wrong-path block to the op at `idx` (must be a mispredicted
-    /// branch).
+    /// branch), replacing any block already attached there.
     ///
     /// # Panics
     ///
@@ -239,7 +250,16 @@ impl TraceBuilder {
             op.is_mispredicted(),
             "wrong-path block must attach to a mispredicted branch"
         );
-        self.wrong_paths.insert(idx, WrongPathBlock { ops });
+        let block = WrongPathBlock { ops };
+        match self.wrong_paths.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) => self.wrong_paths[at].1 = block,
+            Err(at) => {
+                // A trace has a handful of blocks at most: grow one slot at
+                // a time so the list never carries slack.
+                self.wrong_paths.reserve_exact(1);
+                self.wrong_paths.insert(at, (idx, block));
+            }
+        }
         self
     }
 
@@ -255,9 +275,12 @@ impl TraceBuilder {
         self.ops.is_empty()
     }
 
-    /// Finalizes the trace.
+    /// Finalizes the trace, dropping the ops' push-growth slack: a built
+    /// trace holds its ops, like its block list, at exact capacity. Each
+    /// block keeps the vector its caller attached.
     #[must_use]
-    pub fn build(self) -> Trace {
+    pub fn build(mut self) -> Trace {
+        self.ops.shrink_to_fit();
         Trace {
             name: self.name,
             ops: self.ops,
@@ -293,6 +316,62 @@ mod tests {
         let t = b.build();
         assert_eq!(t.wrong_path(br).unwrap().ops.len(), 2);
         assert!(t.wrong_path(99).is_none());
+    }
+
+    #[test]
+    fn built_traces_hold_ops_at_exact_capacity() {
+        let mut b = TraceBuilder::new("t");
+        for i in 0..21 {
+            b.alu(ArchReg::int(1 + i % 8), None, None);
+        }
+        for _ in 0..2 {
+            let br = b.branch(Some(ArchReg::int(1)), None, true, true);
+            b.wrong_path(br, vec![MicroOp::nop(); 5]);
+        }
+        let t = b.build();
+        assert_eq!(t.len(), 23);
+        assert_eq!(t.ops.capacity(), t.ops.len());
+        assert_eq!(t.wrong_paths.capacity(), t.wrong_paths.len());
+    }
+
+    #[test]
+    fn wrong_paths_iterate_in_ascending_index_order() {
+        let mut b = TraceBuilder::new("t");
+        let brs: Vec<usize> = (0..4)
+            .map(|_| b.branch(Some(ArchReg::int(1)), None, true, true))
+            .collect();
+        for &br in &[brs[2], brs[0], brs[3], brs[1]] {
+            b.wrong_path(br, vec![MicroOp::nop(); br + 1]);
+        }
+        let t = b.build();
+        let order: Vec<usize> = t.wrong_paths().map(|(i, _)| i).collect();
+        assert_eq!(order, brs);
+        for (i, block) in t.wrong_paths() {
+            assert_eq!(block.ops.len(), i + 1);
+            assert_eq!(t.wrong_path(i), Some(block));
+        }
+    }
+
+    #[test]
+    fn reattaching_a_block_replaces_it() {
+        let mut b = TraceBuilder::new("t");
+        let br = b.branch(Some(ArchReg::int(1)), None, true, true);
+        b.wrong_path(br, vec![MicroOp::nop(); 3]);
+        b.wrong_path(br, vec![MicroOp::nop()]);
+        let t = b.build();
+        assert_eq!(t.wrong_paths().count(), 1);
+        assert_eq!(t.wrong_path(br).unwrap().ops.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_parts_rejects_unordered_blocks() {
+        let ops = vec![MicroOp::branch(None, None, true, true); 2];
+        let blocks = vec![
+            (1, WrongPathBlock::default()),
+            (0, WrongPathBlock::default()),
+        ];
+        let _ = Trace::from_parts("t", ops, blocks);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use sb_isa::{decode_trace, encode_trace, ArchReg, CtrlFlow, MemAccess, MicroOp, OpClass, Trace};
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
 /// Everything a `MicroOp` means, unpacked.
@@ -110,7 +109,7 @@ fn mix(a: Fields, b: Fields, keep: [bool; 6]) -> Fields {
 }
 
 fn trace_of(ops: Vec<MicroOp>) -> Trace {
-    Trace::from_parts("props", ops, HashMap::new())
+    Trace::from_parts("props", ops, Vec::new())
 }
 
 fn version(bytes: &[u8]) -> u32 {

@@ -43,16 +43,9 @@ impl StridePrefetcher {
         }
     }
 
-    /// Observes a demand access and returns the addresses to prefetch (empty
-    /// until the stream is confident).
-    pub fn observe(&mut self, addr: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.observe_into(addr, &mut out);
-        out
-    }
-
-    /// [`StridePrefetcher::observe`] into a caller-provided buffer, for the
-    /// per-access hot path (targets are appended).
+    /// Observes a demand access and appends the addresses to prefetch to
+    /// `out` (nothing until the stream is confident). The caller owns and
+    /// recycles the buffer: this sits under every simulated memory access.
     pub fn observe_into(&mut self, addr: u64, out: &mut Vec<u64>) {
         let region = addr >> 12;
         // Single-lookup hit path: steady state is an existing stream, and
@@ -104,36 +97,43 @@ impl StridePrefetcher {
 mod tests {
     use super::*;
 
+    /// The targets one access emits, through a fresh buffer.
+    fn observe(p: &mut StridePrefetcher, addr: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        p.observe_into(addr, &mut out);
+        out
+    }
+
     #[test]
     fn trains_on_constant_stride() {
         let mut p = StridePrefetcher::new(2);
-        assert!(p.observe(0x1000).is_empty(), "first access");
+        assert!(observe(&mut p, 0x1000).is_empty(), "first access");
         assert!(
-            p.observe(0x1040).is_empty(),
+            observe(&mut p, 0x1040).is_empty(),
             "stride learned, not confident"
         );
-        let pf = p.observe(0x1080);
+        let pf = observe(&mut p, 0x1080);
         assert_eq!(pf, vec![0x10C0, 0x1100]);
     }
 
     #[test]
     fn stride_change_retrains() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(0x1000);
-        p.observe(0x1040);
-        p.observe(0x1080);
-        assert!(p.observe(0x1400).is_empty(), "stride changed");
-        assert!(p.observe(0x1440).is_empty(), "re-training");
-        assert_eq!(p.observe(0x1480), vec![0x14C0]);
+        observe(&mut p, 0x1000);
+        observe(&mut p, 0x1040);
+        observe(&mut p, 0x1080);
+        assert!(observe(&mut p, 0x1400).is_empty(), "stride changed");
+        assert!(observe(&mut p, 0x1440).is_empty(), "re-training");
+        assert_eq!(observe(&mut p, 0x1480), vec![0x14C0]);
     }
 
     #[test]
     fn random_accesses_do_not_prefetch() {
         let mut p = StridePrefetcher::new(2);
-        p.observe(0x1000);
-        assert!(p.observe(0x1038).is_empty());
-        let _ = p.observe(0x1a10); // irregular follow-up in the same region
-        let pf = p.observe(0x1990);
+        observe(&mut p, 0x1000);
+        assert!(observe(&mut p, 0x1038).is_empty());
+        let _ = observe(&mut p, 0x1a10); // irregular follow-up in the same region
+        let pf = observe(&mut p, 0x1990);
         assert!(
             pf.is_empty(),
             "no repeated stride -> no prefetch, got {pf:?}"
@@ -143,21 +143,21 @@ mod tests {
     #[test]
     fn distinct_regions_track_independently() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(0x1000);
-        p.observe(0x9000);
-        p.observe(0x1040);
-        p.observe(0x9040);
-        assert_eq!(p.observe(0x1080), vec![0x10C0]);
-        assert_eq!(p.observe(0x9080), vec![0x90C0]);
+        observe(&mut p, 0x1000);
+        observe(&mut p, 0x9000);
+        observe(&mut p, 0x1040);
+        observe(&mut p, 0x9040);
+        assert_eq!(observe(&mut p, 0x1080), vec![0x10C0]);
+        assert_eq!(observe(&mut p, 0x9080), vec![0x90C0]);
     }
 
     #[test]
     fn reset_forgets_streams() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(0x1000);
-        p.observe(0x1040);
+        observe(&mut p, 0x1000);
+        observe(&mut p, 0x1040);
         p.reset();
-        assert!(p.observe(0x1080).is_empty());
+        assert!(observe(&mut p, 0x1080).is_empty());
     }
 
     #[test]

@@ -2184,23 +2184,3 @@ enum PlanVsStore {
     Speculate,
     Forward,
 }
-
-impl Core {
-    /// Temporary debug introspection (head entry summary).
-    #[doc(hidden)]
-    pub fn debug_head(&self) -> String {
-        match self.rob.front() {
-            Some(i) => format!(
-                "seq={:?} class={:?} phase={:?} addr_l={} data_l={} srcs={:?} fl_avail={}",
-                i.seq,
-                i.class,
-                i.phase,
-                i.addr_launched(),
-                i.data_launched(),
-                i.src_pregs(),
-                self.free_list.available()
-            ),
-            None => "empty".into(),
-        }
-    }
-}

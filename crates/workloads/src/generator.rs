@@ -29,7 +29,6 @@ use crate::profiles::{AccessPattern, WorkloadProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sb_isa::{ArchReg, MicroOp, OpClass, Trace, TraceBuilder};
-use std::collections::HashMap;
 
 /// Base virtual address of a workload's data segment.
 const DATA_BASE: u64 = 0x1000_0000;
@@ -470,7 +469,7 @@ fn generate_batched(profile: &WorkloadProfile, len: usize, seed: u64) -> Trace {
             last_compute_dst = Some(dst);
         }
     }
-    Trace::from_parts(profile.name, ops, HashMap::new())
+    Trace::from_parts(profile.name, ops, Vec::new())
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //! seed implementation stays alive as the reference, and equality is
 //! asserted over the full structure, not summaries.
 
-use sb_isa::{fnv, Trace};
+use sb_isa::{fnv, ArchReg, MicroOp, Trace, TraceBuilder};
 use sb_workloads::{
     attack_battery, fuzz_attacks::fuzz_battery, generate, generate_with, spec2017_profiles,
     spectre_v1_kernel, ssb_kernel, GeneratorKind, TraceStore,
@@ -78,6 +78,36 @@ fn attack_kernels_round_trip_with_wrong_paths() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace whose wrong-path blocks were attached out of branch order
+/// round-trips through the codec at both record layouts: the encoder
+/// writes blocks in ascending index order (the order the decoder demands)
+/// and the decoded trace equals the built one.
+#[test]
+fn out_of_order_blocks_round_trip_at_both_versions() {
+    // Version 1 has no pc/target fields; any nonzero pc selects version 2.
+    for (version, pc, target) in [(1u32, 0u64, 0u64), (2, 0x40_1000, 0x40_2000)] {
+        let mut b = TraceBuilder::new("three-blocks");
+        let mut brs = Vec::new();
+        for _ in 0..3 {
+            b.alu(ArchReg::int(1), None, None);
+            let src = Some(ArchReg::int(1));
+            brs.push(b.branch_at(src, None, true, true, pc, target));
+        }
+        for (n, &br) in [brs[2], brs[0], brs[1]].iter().enumerate() {
+            let wp =
+                vec![MicroOp::load(ArchReg::int(2), ArchReg::int(1), 0x40 * n as u64, 8); n + 1];
+            b.wrong_path(br, wp);
+        }
+        let trace = b.build();
+        let bytes = sb_isa::encode_trace(&trace);
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), version);
+        let decoded = sb_isa::decode_trace(&bytes).expect("decodes");
+        assert_eq!(decoded, trace, "v{version}");
+        let order: Vec<usize> = decoded.wrong_paths().map(|(i, _)| i).collect();
+        assert_eq!(order, brs, "v{version}");
+    }
 }
 
 /// Store-loaded traces equal freshly generated ones for every profile —
