@@ -937,6 +937,63 @@ mod tests {
         cleanup(&store);
     }
 
+    /// Deadlines and the run budget reach a real simulation: on runs
+    /// longer than one poll interval, a zero job deadline stops every job
+    /// at its first poll, and a zero run budget cancels every job before
+    /// it decodes its trace.
+    #[test]
+    fn zero_deadline_and_zero_budget_stop_every_job() {
+        use std::time::Duration;
+        let p = spec2017_profiles();
+        let mcf = p.iter().find(|p| p.name == "505.mcf").expect("mcf profile");
+        let mega = CoreConfig::mega();
+        let points: Vec<_> = [Scheme::Baseline, Scheme::Nda]
+            .into_iter()
+            .map(|s| (&mega, mega.scheme_config(s), mcf))
+            .collect();
+        let spec = tiny();
+        for stats in run_report_points(&points, &spec) {
+            assert!(
+                stats.cycles.get() > sb_uarch::CANCEL_POLL_CYCLES,
+                "each run must outlast one poll interval ({} cycles)",
+                stats.cycles.get()
+            );
+        }
+        let (labels, batch, slots) = report_batch(&points, &spec);
+        let run = |policy: JobPolicy| {
+            let opts = RunOptions {
+                policy,
+                ..RunOptions::storeless()
+            };
+            run_points(&labels, &batch, &slots, spec.ops, &opts)
+        };
+        let causes = |report: &RunReport| -> Vec<JobFailure> {
+            report.failures.iter().map(|e| e.cause.clone()).collect()
+        };
+
+        let (stats, report) = run(JobPolicy {
+            job_deadline: Some(Duration::ZERO),
+            ..JobPolicy::default()
+        });
+        assert!(stats.iter().all(Option::is_none));
+        assert_eq!(report.simulated, 0);
+        assert_eq!(
+            causes(&report),
+            [JobFailure::DeadlineExceeded, JobFailure::DeadlineExceeded]
+        );
+
+        let (stats, report) = run(JobPolicy {
+            run_budget: Some(Duration::ZERO),
+            ..JobPolicy::default()
+        });
+        assert!(stats.iter().all(Option::is_none));
+        assert_eq!(report.traces_decoded, 0);
+        assert_eq!(
+            causes(&report),
+            [JobFailure::Cancelled, JobFailure::Cancelled]
+        );
+    }
+
     #[test]
     fn disabled_store_still_runs_and_counts_nothing_cached() {
         let opts = RunOptions {

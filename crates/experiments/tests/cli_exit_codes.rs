@@ -40,3 +40,30 @@ fn help_exits_0_and_prints_the_usage_text() {
         assert!(stdout.starts_with("usage:"), "{flag}: {stdout}");
     }
 }
+
+#[test]
+fn exhausted_run_budget_fails_every_cell_as_cancelled() {
+    let out_dir = std::env::temp_dir().join(format!("sb-cli-run-budget-{}", std::process::id()));
+    let out = run(&[
+        "verify-security",
+        "--run-budget",
+        "0",
+        "--out",
+        out_dir.to_str().expect("utf-8 temp dir"),
+    ]);
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("\nFAILED:\n"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "  job failed: #0 spectre/spectre-v1/Baseline: cancelled (run budget exhausted)\n"
+        ),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout.matches(": cancelled (run budget exhausted)").count(),
+        88,
+        "every cell of both threat models is cancelled: {stdout}"
+    );
+}

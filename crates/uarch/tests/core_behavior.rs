@@ -868,3 +868,48 @@ fn capped_runs_stop_on_the_cap_under_both_schedulers() {
     }
     assert!(capped > 0, "no cap stopped the run before it finished");
 }
+
+/// The cancel token end to end through `Core::run`: a deadline that has
+/// already passed stops the run at its first poll, and a token that never
+/// fires (no deadline, or a far one) leaves every statistic untouched.
+#[test]
+fn cancel_token_stops_at_the_first_poll_and_is_otherwise_invisible() {
+    use sb_uarch::{CancelToken, CANCEL_POLL_CYCLES};
+    use std::time::{Duration, Instant};
+    let mcf = sb_workloads::spec2017_profiles()
+        .into_iter()
+        .find(|p| p.name == "505.mcf")
+        .expect("mcf profile");
+    let trace = sb_workloads::generate(&mcf, 3_000, 7);
+    let plain = run(CoreConfig::mega(), Scheme::Baseline, trace.clone());
+    assert!(
+        plain.cycle() > CANCEL_POLL_CYCLES,
+        "the trace must outlast one poll interval ({} cycles)",
+        plain.cycle()
+    );
+    let with_token = |token: CancelToken| {
+        let mut core = Core::with_scheme(CoreConfig::mega(), Scheme::Baseline, trace.clone());
+        core.set_cancel_token(token);
+        core.run(2_000_000);
+        core
+    };
+
+    let past = Instant::now() - Duration::from_millis(1);
+    let stopped = with_token(CancelToken::new().child(Some(past)));
+    assert!(stopped.interrupted());
+    assert!(!stopped.is_done());
+    assert!(stopped.cycle() >= CANCEL_POLL_CYCLES);
+    assert!(
+        stopped.cycle() < 2 * CANCEL_POLL_CYCLES,
+        "stopped at cycle {}, after the first poll",
+        stopped.cycle()
+    );
+
+    let far = Instant::now() + Duration::from_secs(3600);
+    for token in [CancelToken::new(), CancelToken::new().child(Some(far))] {
+        let core = with_token(token);
+        assert!(!core.interrupted());
+        assert!(core.is_done());
+        assert_eq!(core.stats(), plain.stats());
+    }
+}
