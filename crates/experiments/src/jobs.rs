@@ -229,10 +229,8 @@ where
     F: Fn(&JobCtx) -> Result<T, JobFailure> + Sync,
 {
     assert_eq!(order.len(), labels.len(), "one order entry per job");
-    let budget = match policy.run_budget {
-        Some(b) => CancelToken::with_budget(b),
-        None => CancelToken::new(),
-    };
+    // The run budget is a deadline fixed when the batch starts.
+    let budget = CancelToken::new().child(policy.run_budget.map(|b| Instant::now() + b));
     let outcomes = pool::run_ordered_outcomes(order, policy.workers, |i| {
         run_one_job(i, policy, &budget, &f)
     });
@@ -245,9 +243,8 @@ where
         .enumerate()
         .map(|(i, outcome)| {
             let cause = match outcome {
-                Ok(Ok(t)) => return Some(t),
-                Ok(Err(cause)) => cause,
-                Err(p) => JobFailure::Panicked(p.message),
+                Ok(t) => return Some(t),
+                Err(cause) => cause,
             };
             failures.push(JobError {
                 index: i,

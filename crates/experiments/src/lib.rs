@@ -35,7 +35,7 @@ pub use reports::{
     sec92_report, security_report, table1_report, table4_report, table5_report, Report,
 };
 pub use security::{
-    battery_scheme_config, measure_leaks, security_matrix_report, verify_security,
-    verify_security_with, LeakMeasurement, ScenarioVerdict, SecurityVerdict,
+    battery_scheme_config, security_matrix_report, verify_security, verify_security_with,
+    LeakMeasurement, ScenarioVerdict, SecurityVerdict,
 };
 pub use stats_store::{StatsStore, STATS_CACHE_ENV};

@@ -9,11 +9,12 @@
 //!
 //! Panic isolation: every job body runs under `catch_unwind`, so one
 //! panicking job can neither poison another job's result slot nor discard
-//! the batch's finished work. [`run_indexed_outcomes`] returns one
-//! `Result` per slot naming the failing job's index. The structured fault
-//! handling (deadlines, budget, failure reports) lives one layer up in
-//! [`crate::jobs`].
+//! the batch's finished work. [`run_ordered_outcomes`] returns one
+//! `Result` per slot, a panic caught as [`JobFailure::Panicked`]. The
+//! structured fault handling (deadlines, budget, failure reports) lives
+//! one layer up in [`crate::jobs`].
 
+use crate::jobs::JobFailure;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,22 +28,6 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// A panic captured from one job.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobPanic {
-    /// The panicking job's index in `0..n`.
-    pub index: usize,
-    /// The panic payload, stringified (`&str` and `String` payloads are
-    /// preserved verbatim).
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.index, self.message)
-    }
-}
-
 /// Stringifies a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -54,34 +39,27 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Runs `f(0..n)` across at most `workers` scoped threads, returning one
-/// outcome per slot in index order: `Ok(T)` for jobs that returned,
-/// `Err(JobPanic)` (naming the job index) for jobs that panicked. A panic
-/// in one job never disturbs any other slot — surviving results are
-/// always kept. Jobs are pulled from a shared counter, so stragglers
-/// never leave workers idle while work remains.
-pub fn run_indexed_outcomes<T, F>(n: usize, workers: usize, f: F) -> Vec<Result<T, JobPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let order: Vec<usize> = (0..n).collect();
-    run_ordered_outcomes(&order, workers, f)
-}
-
-/// [`run_indexed_outcomes`] over `n = order.len()` jobs, started in the
-/// order `order` lists them instead of in index order: workers pull
-/// `order[0]`, `order[1]`, … from the shared counter. Only the start order
-/// changes — outcomes still come back one per index, in index order, and
-/// a panic still names the job's index.
+/// Runs `f` over the `n = order.len()` jobs `0..n` across at most
+/// `workers` scoped threads, returning one outcome per job in index order:
+/// what `f` returned, or [`JobFailure::Panicked`] with the stringified
+/// payload (`&str` and `String` payloads are preserved verbatim) for a
+/// job that panicked. A panic in one job never disturbs any other slot —
+/// surviving results are always kept. Workers pull `order[0]`,
+/// `order[1]`, … from a shared counter, so jobs start in the order
+/// `order` lists them and stragglers never leave workers idle while work
+/// remains.
 ///
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of `0..order.len()`.
-pub fn run_ordered_outcomes<T, F>(order: &[usize], workers: usize, f: F) -> Vec<Result<T, JobPanic>>
+pub fn run_ordered_outcomes<T, F>(
+    order: &[usize],
+    workers: usize,
+    f: F,
+) -> Vec<Result<T, JobFailure>>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize) -> Result<T, JobFailure> + Sync,
 {
     let n = order.len();
     let mut seen = vec![false; n];
@@ -95,12 +73,11 @@ where
         return Vec::new();
     }
     let run_one = |i: usize| {
-        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| JobPanic {
-            index: i,
-            message: panic_message(payload.as_ref()),
-        })
+        catch_unwind(AssertUnwindSafe(|| f(i)))
+            .unwrap_or_else(|payload| Err(JobFailure::Panicked(panic_message(payload.as_ref()))))
     };
-    let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
     // catch_unwind means no job can panic while (or before) holding a slot
     // lock, but stay lossless anyway: a poisoned lock still hands back its
     // data.
@@ -130,18 +107,16 @@ where
     }
     slots
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
+        .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .unwrap_or_else(|| {
                     // Unreachable with the scoped-join above; named rather
                     // than `expect`ed so a future pool bug degrades into a
                     // per-job error instead of discarding the whole batch.
-                    Err(JobPanic {
-                        index: i,
-                        message: "job was never executed (pool bug)".to_string(),
-                    })
+                    Err(JobFailure::Panicked(
+                        "job was never executed (pool bug)".to_string(),
+                    ))
                 })
         })
         .collect()
@@ -151,12 +126,31 @@ where
 mod tests {
     use super::*;
 
+    /// Runs `f(0..n)` in index order, every job returning `Ok`.
+    fn indexed<T: Send>(
+        n: usize,
+        workers: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Vec<Result<T, JobFailure>> {
+        let order: Vec<usize> = (0..n).collect();
+        run_ordered_outcomes(&order, workers, |i| Ok(f(i)))
+    }
+
     /// The successful results of a batch in which no job panics.
     fn values<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        run_indexed_outcomes(n, workers, f)
+        indexed(n, workers, f)
             .into_iter()
             .map(|r| r.expect("no job panics"))
             .collect()
+    }
+
+    /// The panic message caught in a failed slot.
+    fn panicked<T>(slot: &Result<T, JobFailure>) -> &str {
+        match slot {
+            Err(JobFailure::Panicked(message)) => message,
+            Err(other) => panic!("expected a caught panic, got {other:?}"),
+            Ok(_) => panic!("expected a caught panic, got a result"),
+        }
     }
 
     #[test]
@@ -187,17 +181,16 @@ mod tests {
     fn panicking_job_keeps_every_other_slot() {
         // Regression: a single panicking job used to abort collection with
         // "result slot poisoned", discarding all completed work. Now every
-        // surviving slot comes back, and the failure names its index.
+        // surviving slot comes back, and the failure sits in its own slot.
         for workers in [1, 4] {
-            let out = run_indexed_outcomes(10, workers, |i| {
+            let out = indexed(10, workers, |i| {
                 assert!(i != 7, "injected failure at 7");
                 i * 2
             });
             for (i, slot) in out.iter().enumerate() {
                 if i == 7 {
-                    let e = slot.as_ref().unwrap_err();
-                    assert_eq!(e.index, 7);
-                    assert!(e.message.contains("injected failure at 7"), "{e}");
+                    let m = panicked(slot);
+                    assert!(m.contains("injected failure at 7"), "{m}");
                 } else {
                     assert_eq!(*slot.as_ref().unwrap(), i * 2);
                 }
@@ -207,8 +200,8 @@ mod tests {
 
     #[test]
     fn string_payload_panics_are_preserved() {
-        let out = run_indexed_outcomes(1, 1, |_| -> usize { panic!("msg {}", 42) });
-        assert_eq!(out[0].as_ref().unwrap_err().message, "msg 42");
+        let out = indexed(1, 1, |_| -> usize { panic!("msg {}", 42) });
+        assert_eq!(out[0], Err(JobFailure::Panicked("msg 42".to_string())));
     }
 
     #[test]
@@ -218,11 +211,11 @@ mod tests {
         let out = run_ordered_outcomes(&order, 1, |i| {
             started.lock().unwrap().push(i);
             assert!(i != 4, "boom");
-            i * 2
+            Ok(i * 2)
         });
         assert_eq!(started.into_inner().unwrap(), order);
         assert_eq!(out.len(), 5);
-        assert_eq!(out[4].as_ref().unwrap_err().index, 4);
+        assert_eq!(panicked(&out[4]), "boom");
         for i in [0, 1, 2, 3] {
             assert_eq!(*out[i].as_ref().unwrap(), i * 2);
         }
@@ -231,13 +224,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn an_order_with_a_repeated_index_is_rejected() {
-        let _ = run_ordered_outcomes(&[0, 0], 2, |i| i);
+        let _ = run_ordered_outcomes(&[0, 0], 2, Ok);
     }
 
     #[test]
     fn all_jobs_can_fail_without_deadlock() {
-        let out = run_indexed_outcomes(20, 6, |i| -> usize { panic!("{i}") });
+        let out = indexed(20, 6, |i| -> usize { panic!("{i}") });
         assert_eq!(out.len(), 20);
-        assert!(out.iter().all(Result::is_err));
+        for (i, slot) in out.iter().enumerate() {
+            assert_eq!(panicked(slot), i.to_string());
+        }
     }
 }

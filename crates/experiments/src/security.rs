@@ -135,27 +135,14 @@ pub struct SecurityVerdict {
 
 /// Runs one kernel under one scheme/threat-model/scheduler with both
 /// observers attached and decodes the transient leak set through the
-/// kernel's channel.
-#[must_use]
-pub fn measure_leaks(
-    kernel: &AttackKernel,
-    scheme: Scheme,
-    threat_model: ThreatModel,
-    scheduler: SchedulerKind,
-) -> LeakMeasurement {
-    measure_leaks_in(kernel, scheme, threat_model, scheduler, None)
-        .expect("a run without a cancel token cannot be interrupted")
-}
-
-/// The cancellation-aware body of [`measure_leaks`]: with a [`JobCtx`]
-/// attached, the core run observes the job's cancel token and an
-/// interrupted or non-terminating run becomes a typed [`JobFailure`].
+/// kernel's channel. The core run observes the job's cancel token, and an
+/// interrupted run becomes a typed [`JobFailure`].
 fn measure_leaks_in(
     kernel: &AttackKernel,
     scheme: Scheme,
     threat_model: ThreatModel,
     scheduler: SchedulerKind,
-    ctx: Option<&JobCtx>,
+    ctx: &JobCtx,
 ) -> Result<LeakMeasurement, JobFailure> {
     let mut config = CoreConfig::mega();
     config.scheduler = scheduler;
@@ -167,14 +154,12 @@ fn measure_leaks_in(
     }
     let scheme_cfg = battery_scheme_config(scheme, threat_model);
     let mut core = Core::new(config, scheme_cfg, kernel.trace.clone());
-    if let Some(ctx) = ctx {
-        core.set_cancel_token(ctx.cancel.clone());
-    }
+    core.set_cancel_token(ctx.cancel.clone());
     core.memory_mut().attach_leakage_observer();
     core.memory_mut().attach_contention_observer();
     core.run(MAX_CYCLES);
     if core.interrupted() {
-        return Err(ctx.expect("only a token can interrupt").interruption());
+        return Err(ctx.interruption());
     }
     assert!(
         core.is_done(),
@@ -196,13 +181,6 @@ fn measure_leaks_in(
     })
 }
 
-#[cfg(test)]
-fn judge(kernel: &AttackKernel, scheme: Scheme, threat_model: ThreatModel) -> ScenarioVerdict {
-    let claims_verified = sb_analysis::audit_kernel(kernel).is_ok();
-    judge_in(kernel, scheme, threat_model, claims_verified, None)
-        .expect("uncancellable judge cannot fail")
-}
-
 /// Judges one cell under a job's cancel token; both scheduler runs observe
 /// the token. `claims_verified` is the kernel's claims-audit outcome,
 /// which depends on the kernel alone, so callers audit once per kernel.
@@ -211,7 +189,7 @@ fn judge_in(
     scheme: Scheme,
     threat_model: ThreatModel,
     claims_verified: bool,
-    ctx: Option<&JobCtx>,
+    ctx: &JobCtx,
 ) -> Result<ScenarioVerdict, JobFailure> {
     let wheel = measure_leaks_in(kernel, scheme, threat_model, SchedulerKind::EventWheel, ctx)?;
     let reference = measure_leaks_in(kernel, scheme, threat_model, SchedulerKind::Reference, ctx)?;
@@ -338,7 +316,7 @@ pub fn verify_security_with(threat_models: &[ThreatModel], policy: &JobPolicy) -
         .collect();
     let report = jobs::run_batch(&labels, policy, |ctx| {
         let (model, k, scheme) = points[ctx.index];
-        judge_in(&battery[k], scheme, model, claims_verified[k], Some(ctx))
+        judge_in(&battery[k], scheme, model, claims_verified[k], ctx)
     });
     let cells: Vec<ScenarioVerdict> = report.results.into_iter().flatten().collect();
     let ok = report.failures.is_empty() && cells.iter().all(|c| c.pass);
@@ -472,7 +450,38 @@ pub fn security_matrix_report(verdict: &SecurityVerdict) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_uarch::CancelToken;
     use sb_workloads::ChannelKind;
+
+    /// A job context whose token never fires.
+    fn uncancelled() -> JobCtx {
+        JobCtx {
+            index: 0,
+            cancel: CancelToken::new(),
+        }
+    }
+
+    fn judge(kernel: &AttackKernel, scheme: Scheme, threat_model: ThreatModel) -> ScenarioVerdict {
+        let claims_verified = sb_analysis::audit_kernel(kernel).is_ok();
+        judge_in(
+            kernel,
+            scheme,
+            threat_model,
+            claims_verified,
+            &uncancelled(),
+        )
+        .expect("a token that never fires cannot interrupt the judge")
+    }
+
+    fn measure(
+        kernel: &AttackKernel,
+        scheme: Scheme,
+        threat_model: ThreatModel,
+        scheduler: SchedulerKind,
+    ) -> LeakMeasurement {
+        measure_leaks_in(kernel, scheme, threat_model, scheduler, &uncancelled())
+            .expect("a token that never fires cannot interrupt the run")
+    }
 
     #[test]
     fn the_security_property_holds_under_both_models() {
@@ -568,7 +577,7 @@ mod tests {
     fn contention_scenario_is_judged_through_the_contention_observer() {
         let kernel = sb_workloads::mshr_contention_kernel(BATTERY_SECRET);
         assert_eq!(kernel.channel_kind, ChannelKind::MshrContention);
-        let base = measure_leaks(
+        let base = measure(
             &kernel,
             Scheme::Baseline,
             ThreatModel::Spectre,
@@ -584,7 +593,7 @@ mod tests {
             "the squashed burst consumed memory ports"
         );
         for scheme in Scheme::secure() {
-            let m = measure_leaks(
+            let m = measure(
                 &kernel,
                 scheme,
                 ThreatModel::Spectre,

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sb_experiments::jobs::{run_batch, JobFailure, JobPolicy};
-use sb_experiments::pool::{run_indexed_outcomes, run_ordered_outcomes};
+use sb_experiments::pool::run_ordered_outcomes;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
@@ -46,29 +46,30 @@ proptest! {
     ) {
         let n = jobs.len();
         let mask: Vec<bool> = jobs.iter().map(|&(panics, _)| panics).collect();
-        // A random permutation: the indices sorted by a random key.
+        // The identity order, or a random permutation: the indices sorted
+        // by a random key.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| jobs[i].1);
+        if !in_index_order {
+            order.sort_by_key(|&i| jobs[i].1);
+        }
         let tries: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let job = |i: usize| {
             tries[i].fetch_add(1, Ordering::Relaxed);
             assert!(!mask[i], "injected panic at {i}");
-            i * 7
+            Ok(i * 7)
         };
-        let out = if in_index_order {
-            run_indexed_outcomes(n, workers, job)
-        } else {
-            run_ordered_outcomes(&order, workers, job)
-        };
+        let out = run_ordered_outcomes(&order, workers, job);
         prop_assert_eq!(out.len(), n);
         for t in &tries {
             prop_assert_eq!(t.load(Ordering::Relaxed), 1, "every job runs exactly once");
         }
         for (i, slot) in out.iter().enumerate() {
             if mask[i] {
-                let e = slot.as_ref().unwrap_err();
-                prop_assert_eq!(e.index, i);
-                prop_assert!(e.message.contains(&format!("injected panic at {i}")));
+                let want = format!("injected panic at {i}");
+                prop_assert!(
+                    matches!(slot, Err(JobFailure::Panicked(m)) if m.contains(&want)),
+                    "slot {}: {:?}", i, slot
+                );
             } else {
                 prop_assert_eq!(slot.as_ref().unwrap(), &(i * 7));
             }

@@ -1,6 +1,6 @@
 //! Memory-hierarchy substrate: set-associative caches, stride prefetchers, a
-//! DRAM latency model, and a cache side-channel observer used by the
-//! Spectre-v1 mitigation check (§7 of the paper).
+//! DRAM latency model, and the side-channel observers the Spectre
+//! mitigation check (§7 of the paper) judges schemes with.
 //!
 //! The default latencies follow the paper's critique of earlier gem5
 //! evaluations (§9.5): the realistic (RTL-fidelity) L1 data cache costs 4
@@ -10,10 +10,9 @@
 //!
 //! Cross-crate data flow: `sb-uarch`'s LSU and commit stages call
 //! [`MemoryHierarchy::access_attributed`] for every simulated load/store
-//! (it sits on the simulator's hottest shared path — keep it lean), the
-//! attack examples use [`SideChannelObserver`] to probe which lines a
-//! transient access left behind, and the `verify-security` battery
-//! attaches a [`LeakageObserver`] to charge every fill, eviction, prefetch
+//! (it sits on the simulator's hottest shared path — keep it lean), and
+//! the `verify-security` battery and the attack examples attach a
+//! [`LeakageObserver`] to charge every fill, eviction, prefetch
 //! install and MSHR allocation to the instruction that caused it — the
 //! ground truth the security verification compares schemes against —
 //! plus a [`ContentionObserver`] charging MSHR occupancy and memory-port
@@ -34,6 +33,6 @@ pub use cache::{AccessTrace, Cache, CacheConfig};
 pub use hierarchy::{AccessKind, AccessOutcome, HierarchyConfig, MemoryHierarchy, ServedBy};
 pub use observer::{
     Attribution, CacheChange, CacheChangeKind, ContentionEvent, ContentionKind, ContentionObserver,
-    LeakageObserver, SideChannelObserver,
+    LeakageObserver,
 };
 pub use prefetch::StridePrefetcher;

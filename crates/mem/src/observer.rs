@@ -1,97 +1,26 @@
-//! Cache side-channel observers, in two flavours:
+//! Side-channel observers: the verifier's omniscient views of what
+//! transient execution left behind.
 //!
-//! * [`SideChannelObserver`] — the *attacker's* flush+reload view of the
-//!   cache, used by the security experiment (§7's BOOM-attacks analogue).
-//!   It monitors a *probe array*: `entries` cache lines spaced `stride`
-//!   bytes apart starting at `base`. A Spectre-v1 victim encodes a secret
-//!   byte `s` by transiently loading `base + s * stride`; the attacker then
-//!   probes each line and recovers `s` from the unique hit.
-//! * [`LeakageObserver`] — the *verifier's* omniscient view: every
-//!   cache-state change (demand fill, eviction, prefetch fill, MSHR
-//!   allocation) the hierarchy performs, attributed to the dynamic
-//!   instruction that caused it. The core reports squashes, after which
-//!   changes made by squashed (wrong-path / replayed) instructions are
-//!   *transient*: cache state a correct execution would never have touched,
-//!   i.e. a side-channel transmission. The `verify-security` battery
-//!   asserts the Baseline core transmits on every attack scenario and the
-//!   secure schemes on none.
+//! * [`LeakageObserver`] — every cache-state change (demand fill,
+//!   eviction, prefetch fill, MSHR allocation, predictor-table update) the
+//!   hierarchy performs, attributed to the dynamic instruction that caused
+//!   it. The core reports squashes, after which changes made by squashed
+//!   (wrong-path / replayed) instructions are *transient*: cache state a
+//!   correct execution would never have touched, i.e. a side-channel
+//!   transmission. Decoded over a probe array
+//!   ([`LeakageObserver::transient_slots`]), it recovers what a
+//!   flush+reload attacker would, and also sees prefetch fills and
+//!   evictions.
+//! * [`ContentionObserver`] — MSHR occupancy and memory-port uses charged
+//!   the same way: the resource-pressure channels that leave no cache
+//!   state behind.
+//!
+//! The `verify-security` battery asserts the Baseline core transmits on
+//! every attack scenario and the secure schemes on none.
 
-use crate::hierarchy::MemoryHierarchy;
 use sb_isa::Seq;
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// Flush+reload observer over a probe array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SideChannelObserver {
-    base: u64,
-    stride: u64,
-    entries: usize,
-}
-
-impl SideChannelObserver {
-    /// Creates an observer for `entries` lines spaced `stride` bytes from
-    /// `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is smaller than a cache line (64 B) or `entries`
-    /// is 0 — adjacent probe slots must map to distinct lines.
-    #[must_use]
-    pub fn new(base: u64, stride: u64, entries: usize) -> Self {
-        assert!(stride >= 64, "probe slots must be at least a line apart");
-        assert!(entries > 0, "need at least one probe slot");
-        SideChannelObserver {
-            base,
-            stride,
-            entries,
-        }
-    }
-
-    /// Address of probe slot `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= entries`.
-    #[must_use]
-    pub fn slot_addr(&self, i: usize) -> u64 {
-        assert!(i < self.entries, "slot {i} out of range");
-        self.base + self.stride * i as u64
-    }
-
-    /// Number of probe slots.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Flush every probe slot out of the hierarchy (attack preparation).
-    pub fn prime(&self, mem: &mut MemoryHierarchy) {
-        for i in 0..self.entries {
-            mem.flush_line(self.slot_addr(i));
-        }
-    }
-
-    /// Probe all slots; returns the indices now resident in L1D.
-    #[must_use]
-    pub fn probe(&self, mem: &MemoryHierarchy) -> Vec<usize> {
-        (0..self.entries)
-            .filter(|&i| mem.probe_l1d(self.slot_addr(i)))
-            .collect()
-    }
-
-    /// Recovers the leaked byte: the unique hot slot, if exactly one slot
-    /// hit. `None` means the secret did not leak (or the channel was noisy).
-    #[must_use]
-    pub fn recover(&self, mem: &MemoryHierarchy) -> Option<usize> {
-        let hits = self.probe(mem);
-        if hits.len() == 1 {
-            Some(hits[0])
-        } else {
-            None
-        }
-    }
-}
 
 /// The instruction a cache-state change is charged to, as reported by the
 /// core at access time.
@@ -196,7 +125,8 @@ impl CacheChange {
 
 /// Records every attributed cache-state change the hierarchy performs, and
 /// resolves which of them turn out transient once the core reports its
-/// squashes. Attach with [`MemoryHierarchy::attach_leakage_observer`];
+/// squashes. Attach with
+/// [`MemoryHierarchy::attach_leakage_observer`](crate::MemoryHierarchy::attach_leakage_observer);
 /// detached (the default), the hierarchy's hot path pays only a `None`
 /// check.
 ///
@@ -291,9 +221,9 @@ impl LeakageObserver {
 
     /// Probe-array slots hit by transient *cache* changes: slot `i` covers
     /// `[base + i*stride, base + (i+1)*stride)`, for `i < entries`. This is
-    /// the verifier-side counterpart of [`SideChannelObserver::probe`] —
-    /// it sees prefetch fills and evictions too, and only counts changes
-    /// from squashed instructions. Predictor-state changes live in a table
+    /// what a flush+reload attacker probing that array would recover, plus
+    /// prefetch fills and evictions, counting only changes from squashed
+    /// instructions. Predictor-state changes live in a table
     /// index space, not the byte address space, so they are excluded here;
     /// decode those with [`Self::transient_predictor_slots`].
     #[must_use]
@@ -398,9 +328,10 @@ impl ContentionEvent {
 /// `verify-security` battery's `mshr-contention` scenario decodes its
 /// secret from the set of MSHRs squashed instructions occupied.
 ///
-/// Attach with [`MemoryHierarchy::attach_contention_observer`]; detached
-/// (the default), the hierarchy and the core's issue path pay only a
-/// `None` check.
+/// Attach with
+/// [`MemoryHierarchy::attach_contention_observer`](crate::MemoryHierarchy::attach_contention_observer);
+/// detached (the default), the hierarchy and the core's issue path pay
+/// only a `None` check.
 #[derive(Clone, Debug, Default)]
 pub struct ContentionObserver {
     events: Vec<ContentionEvent>,
@@ -426,7 +357,7 @@ impl ContentionObserver {
     }
 
     /// Records one memory-port use (reported by the core's issue path via
-    /// [`MemoryHierarchy::note_port_use`]).
+    /// [`MemoryHierarchy::note_port_use`](crate::MemoryHierarchy::note_port_use)).
     pub(crate) fn record_port_use(&mut self, attr: Attribution) {
         self.events.push(ContentionEvent {
             kind: ContentionKind::MemPortUse,
@@ -529,64 +460,16 @@ impl fmt::Display for LeakageObserver {
     }
 }
 
-impl fmt::Display for SideChannelObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "probe array @{:#x}, {} slots x {} B",
-            self.base, self.entries, self.stride
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{AccessKind, HierarchyConfig};
+    use crate::hierarchy::{HierarchyConfig, MemoryHierarchy};
 
     fn mem() -> MemoryHierarchy {
         let mut c = HierarchyConfig::rtl_default();
         c.l1_prefetch_degree = 0;
         c.l2_prefetch_degree = 0;
         MemoryHierarchy::new(c)
-    }
-
-    #[test]
-    fn recovers_a_single_touched_slot() {
-        let mut m = mem();
-        let obs = SideChannelObserver::new(0x10_0000, 4096, 16);
-        obs.prime(&mut m);
-        m.access(obs.slot_addr(7), AccessKind::Read);
-        assert_eq!(obs.recover(&m), Some(7));
-    }
-
-    #[test]
-    fn no_touch_means_no_leak() {
-        let mut m = mem();
-        let obs = SideChannelObserver::new(0x10_0000, 4096, 16);
-        obs.prime(&mut m);
-        assert_eq!(obs.recover(&m), None);
-        assert!(obs.probe(&m).is_empty());
-    }
-
-    #[test]
-    fn two_touches_are_ambiguous() {
-        let mut m = mem();
-        let obs = SideChannelObserver::new(0x10_0000, 4096, 16);
-        obs.prime(&mut m);
-        m.access(obs.slot_addr(1), AccessKind::Read);
-        m.access(obs.slot_addr(2), AccessKind::Read);
-        assert_eq!(obs.recover(&m), None);
-        assert_eq!(obs.probe(&m), vec![1, 2]);
-    }
-
-    #[test]
-    fn prime_evicts_previous_state() {
-        let mut m = mem();
-        let obs = SideChannelObserver::new(0x10_0000, 4096, 4);
-        m.access(obs.slot_addr(0), AccessKind::Read);
-        obs.prime(&mut m);
-        assert!(obs.probe(&m).is_empty());
     }
 
     fn leak_attr(seq: u64) -> Attribution {
@@ -717,18 +600,5 @@ mod tests {
         assert!(obs.transient_mshr_slots(0, 4096, 16).is_empty());
         assert_eq!(obs.events()[0].line_addr, None);
         assert_eq!(obs.events()[0].cycles, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "line apart")]
-    fn sub_line_stride_rejected() {
-        let _ = SideChannelObserver::new(0, 32, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn slot_bounds_checked() {
-        let obs = SideChannelObserver::new(0, 64, 4);
-        let _ = obs.slot_addr(4);
     }
 }

@@ -16,13 +16,13 @@
 //! into a cache *probe channel*: slot `s` of the channel changes cache
 //! state iff the secret value is `s`. Two observers can see the leak:
 //!
-//! * `sb_mem::SideChannelObserver` — the attacker's flush+reload view over
-//!   the kernel's [`ProbeChannel`];
 //! * `sb_mem::LeakageObserver` — the verifier's omniscient view: every
-//!   cache-state change attributed to a squashed instruction, which also
-//!   catches channels flush+reload cannot separate (prefetch amplification,
-//!   evictions). `sb-experiments verify-security` runs the whole battery
-//!   this way under every scheme, both schedulers, and both threat models;
+//!   cache-state change attributed to a squashed instruction, decoded over
+//!   the kernel's [`ProbeChannel`]. It recovers what a flush+reload
+//!   attacker would, and also catches channels flush+reload cannot
+//!   separate (prefetch amplification, evictions). `sb-experiments
+//!   verify-security` runs the whole battery this way under every scheme,
+//!   both schedulers, and both threat models;
 //! * `sb_mem::ContentionObserver` — the resource-pressure view (MSHR
 //!   occupancy, memory-port uses) that decodes the contention scenario,
 //!   whose signal is never retained cache state.
@@ -142,9 +142,9 @@ impl PredictorParams {
     }
 }
 
-/// The probe-array geometry a kernel transmits through, mirrored by both
-/// observers (`SideChannelObserver::new(base, stride, entries)` or
-/// `LeakageObserver::transient_slots(base, stride, entries)`).
+/// The probe-array geometry a kernel transmits through, as the observers
+/// decode it (`LeakageObserver::transient_slots(base, stride, entries)`,
+/// `ContentionObserver::transient_mshr_slots(base, stride, entries)`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeChannel {
     /// First slot's address.

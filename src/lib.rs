@@ -17,7 +17,8 @@
 //! * [`uarch`] (`sb-uarch`) — the out-of-order core simulator and the four
 //!   Table 1 BOOM configurations.
 //! * [`isa`], [`mem`], [`stats`] — micro-op ISA, cache hierarchy (plus the
-//!   flush+reload side-channel observer), and statistics substrates.
+//!   leakage and contention side-channel observers), and statistics
+//!   substrates.
 //! * [`workloads`] (`sb-workloads`) — 22 SPEC2017-like profiles and the
 //!   Spectre-v1 / Speculative-Store-Bypass attack kernels.
 //! * [`timing`] (`sb-timing`) — the critical-path, area and power models
