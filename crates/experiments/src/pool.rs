@@ -29,7 +29,7 @@ pub fn default_workers() -> usize {
 }
 
 /// Stringifies a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
