@@ -25,6 +25,8 @@
 #![forbid(unsafe_code)]
 
 mod cache;
+#[cfg(test)]
+mod cache_lru_model;
 mod hierarchy;
 mod observer;
 mod prefetch;
