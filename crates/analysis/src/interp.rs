@@ -100,9 +100,9 @@ impl Geometry {
     }
 }
 
-/// One per-region stride-prefetcher stream, mirroring
-/// `sb_mem::StridePrefetcher` exactly (both levels observe every demand
-/// access, so one table serves both degrees).
+/// One per-region stride-prefetcher stream, mirroring `sb_mem`'s shared
+/// stream table exactly (both levels observe every demand access, so one
+/// table serves both degrees).
 #[derive(Clone, Copy, Debug)]
 struct Stream {
     last: u64,
@@ -499,8 +499,8 @@ impl Interp {
         }
     }
 
-    /// Advances the per-region stride streams exactly as
-    /// `sb_mem::StridePrefetcher::observe_into` does (both levels see
+    /// Advances the per-region stride streams exactly as `sb_mem`'s
+    /// shared stream table does (both levels see
     /// every demand access). Emissions install lines (L1 to the L1
     /// degree, L2 to the L2 degree); on transient walks they are also
     /// recorded as `may` events, and the one-stride target as the

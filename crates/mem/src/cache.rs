@@ -72,35 +72,45 @@ pub struct AccessTrace {
 
 /// A set-associative, true-LRU cache model (tags only; no data payload).
 ///
-/// Storage is two flat arrays (`sets * ways` tags and LRU timestamps) plus
-/// a per-set occupancy count: the hit probe touches one contiguous run of
-/// tags, which matters because this sits under every simulated memory
-/// access. LRU timestamps are unique (one monotone tick per access), so
-/// victim selection is identical to any ordering of the ways.
+/// Storage is one flat array of `sets * ways` line tags plus a per-set
+/// occupancy count. Each set's valid lines fill the front of its run of
+/// `ways` slots in recency order, most recently used first, so the LRU
+/// victim of a full set is always its last way. The hit probe touches one
+/// contiguous run of tags, which matters because this sits under every
+/// simulated memory access.
 ///
 /// # Example
 ///
+/// The cache is internal to [`MemoryHierarchy`](crate::MemoryHierarchy);
+/// its replacement order shows through the hierarchy's L1D probe.
+///
 /// ```
-/// use sb_mem::{Cache, CacheConfig};
-/// let mut c = Cache::new(CacheConfig::l1d_default());
-/// assert!(!c.access(0x1000));      // cold miss, line filled
-/// assert!(c.access(0x1000));       // now hits
-/// assert!(c.access(0x1038));       // same 64-byte line
+/// use sb_mem::{HierarchyConfig, MemoryHierarchy, ServedBy};
+/// let mut cfg = HierarchyConfig::rtl_default();
+/// cfg.l1_prefetch_degree = 0;
+/// cfg.l2_prefetch_degree = 0;
+/// let mut m = MemoryHierarchy::new(cfg);
+/// // Lines 4 KiB apart share one set of the 64-set, 8-way L1D.
+/// for i in 0..8u64 {
+///     m.access(i * 0x1000, None);
+/// }
+/// assert_eq!(m.access(0, None).served_by, ServedBy::L1); // now most recent
+/// m.access(8 * 0x1000, None); // set full: evicts the LRU line, 0x1000
+/// assert!(m.probe_l1d(0));
+/// assert!(!m.probe_l1d(0x1000));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// Line tags, `ways` consecutive entries per set (valid ones first).
+    /// Line tags, `ways` consecutive slots per set: valid lines first,
+    /// most recently used first.
     tags: Vec<u64>,
-    /// Monotonic last-touch timestamps, parallel to `tags`.
-    last_use: Vec<u64>,
-    /// Valid lines per set (lines fill from the front of the set's run).
+    /// Valid lines per set.
     filled: Vec<u32>,
     /// `log2(line_bytes)`, precomputed: the index/tag split runs on every
     /// simulated memory access, and the compiler cannot know the runtime
     /// divisor is a power of two.
     line_shift: u32,
-    tick: u64,
 }
 
 impl Cache {
@@ -120,17 +130,9 @@ impl Cache {
         Cache {
             config,
             tags: vec![0; config.sets * config.ways],
-            last_use: vec![0; config.sets * config.ways],
             filled: vec![0; config.sets],
             line_shift: config.line_bytes.trailing_zeros(),
-            tick: 0,
         }
-    }
-
-    /// Cache geometry.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     fn index_and_tag(&self, addr: u64) -> (usize, u64) {
@@ -139,52 +141,34 @@ impl Cache {
         (idx, line)
     }
 
-    /// Range of `tags` / `last_use` slots backing set `idx`, and the number
-    /// of valid lines in it.
-    fn set_run(&self, idx: usize) -> (usize, usize) {
-        let start = idx * self.config.ways;
-        (start, self.filled[idx] as usize)
-    }
-
-    /// Accesses `addr`: returns `true` on hit. On a miss the line is filled
-    /// (evicting LRU if needed).
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.access_traced(addr).hit
-    }
-
-    /// [`Cache::access`], additionally reporting the cache-state changes the
-    /// access caused — the feed for the leakage observer, which attributes
-    /// every fill and eviction to the instruction that triggered it.
+    /// Accesses `addr`, filling its line on a miss (evicting the LRU line
+    /// of a full set), and reports the cache-state changes the access
+    /// caused: the feed for the leakage observer, which attributes every
+    /// fill and eviction to the instruction that triggered it.
     pub fn access_traced(&mut self, addr: u64) -> AccessTrace {
-        self.tick += 1;
         let (idx, tag) = self.index_and_tag(addr);
-        let tick = self.tick;
-        let (start, len) = self.set_run(idx);
-        let ways = &self.tags[start..start + len];
-        if let Some(w) = ways.iter().position(|&t| t == tag) {
-            self.last_use[start + w] = tick;
+        let ways = self.config.ways;
+        let len = self.filled[idx] as usize;
+        let run = &mut self.tags[idx * ways..(idx + 1) * ways];
+        if let Some(w) = run[..len].iter().position(|&t| t == tag) {
+            if w > 0 {
+                run.copy_within(0..w, 1);
+                run[0] = tag;
+            }
             return AccessTrace {
                 hit: true,
                 filled_line: None,
                 evicted_line: None,
             };
         }
-        let (slot, evicted_line) = if len == self.config.ways {
-            // Evict LRU: timestamps are unique, so this is the one line
-            // least recently touched regardless of way order.
-            let lru = self.last_use[start..start + len]
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &t)| t)
-                .map(|(w, _)| w)
-                .expect("nonempty set");
-            (start + lru, Some(self.tags[start + lru] << self.line_shift))
+        let (kept, evicted_line) = if len == ways {
+            (ways - 1, Some(run[ways - 1] << self.line_shift))
         } else {
             self.filled[idx] += 1;
-            (start + len, None)
+            (len, None)
         };
-        self.tags[slot] = tag;
-        self.last_use[slot] = tick;
+        run.copy_within(0..kept, 1);
+        run[0] = tag;
         AccessTrace {
             hit: false,
             filled_line: Some(tag << self.line_shift),
@@ -197,36 +181,8 @@ impl Cache {
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
-        let (start, len) = self.set_run(idx);
-        self.tags[start..start + len].contains(&tag)
-    }
-
-    /// Evicts `addr`'s line if present — the attacker's flush primitive.
-    /// Returns whether a line was evicted.
-    pub fn flush_line(&mut self, addr: u64) -> bool {
-        let (idx, tag) = self.index_and_tag(addr);
-        let (start, len) = self.set_run(idx);
-        let Some(w) = self.tags[start..start + len].iter().position(|&t| t == tag) else {
-            return false;
-        };
-        // Keep valid lines contiguous: move the last valid line into the
-        // vacated slot (way order carries no meaning; LRU state rides the
-        // timestamps).
-        self.tags[start + w] = self.tags[start + len - 1];
-        self.last_use[start + w] = self.last_use[start + len - 1];
-        self.filled[idx] -= 1;
-        true
-    }
-
-    /// Empties the cache.
-    pub fn flush_all(&mut self) {
-        self.filled.fill(0);
-    }
-
-    /// Number of resident lines.
-    #[must_use]
-    pub fn resident_lines(&self) -> usize {
-        self.filled.iter().map(|&n| n as usize).sum()
+        let start = idx * self.config.ways;
+        self.tags[start..start + self.filled[idx] as usize].contains(&tag)
     }
 }
 
@@ -243,23 +199,28 @@ mod tests {
         })
     }
 
+    /// Whether an access hit.
+    fn hit(c: &mut Cache, addr: u64) -> bool {
+        c.access_traced(addr).hit
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.access(0));
-        assert!(c.access(0));
-        assert!(c.access(63), "same line");
-        assert!(!c.access(64), "next line is a different set/line");
+        assert!(!hit(&mut c, 0));
+        assert!(hit(&mut c, 0));
+        assert!(hit(&mut c, 63), "same line");
+        assert!(!hit(&mut c, 64), "next line is a different set/line");
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = tiny();
         // Set 0 holds lines with even line-number (2 sets).
-        c.access(0); // line 0 -> set 0
-        c.access(256); // line 4 -> set 0
-        c.access(0); // touch line 0, line 4 is now LRU
-        c.access(512); // line 8 -> set 0: evicts line 4
+        hit(&mut c, 0); // line 0 -> set 0
+        hit(&mut c, 256); // line 4 -> set 0
+        hit(&mut c, 0); // touch line 0, line 4 is now LRU
+        hit(&mut c, 512); // line 8 -> set 0: evicts line 4
         assert!(c.probe(0));
         assert!(!c.probe(256));
         assert!(c.probe(512));
@@ -269,22 +230,16 @@ mod tests {
     fn probe_does_not_fill_or_touch() {
         let mut c = tiny();
         assert!(!c.probe(0x40));
-        assert_eq!(c.resident_lines(), 0);
-        c.access(0x40);
+        assert!(!hit(&mut c, 0x40), "the probe filled nothing");
         assert!(c.probe(0x40));
-        assert_eq!(c.resident_lines(), 1);
-    }
-
-    #[test]
-    fn flush_line_removes_exactly_one_line() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(64);
-        assert!(c.flush_line(0));
-        assert!(!c.flush_line(0), "already gone");
-        assert!(c.probe(64));
-        c.flush_all();
-        assert_eq!(c.resident_lines(), 0);
+        // Set 0: line 4, then line 0 (now MRU). Probing line 4 must not
+        // refresh it, so line 8 still evicts it.
+        hit(&mut c, 256);
+        hit(&mut c, 0);
+        assert!(c.probe(256));
+        hit(&mut c, 512);
+        assert!(!c.probe(256), "the probe touched no LRU state");
+        assert!(c.probe(0));
     }
 
     #[test]
@@ -300,7 +255,7 @@ mod tests {
             }
         );
         assert!(c.access_traced(0).hit, "warm re-access");
-        c.access(256); // line 4 -> set 0
+        hit(&mut c, 256); // line 4 -> set 0
         let evicting = c.access_traced(512); // set 0 full: evicts LRU line 0
         assert_eq!(evicting.filled_line, Some(512));
         assert_eq!(evicting.evicted_line, Some(0));

@@ -6,15 +6,6 @@ use crate::prefetch::StridePrefetcher;
 use sb_isa::Seq;
 use std::fmt;
 
-/// Demand access kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Load (fills on miss).
-    Read,
-    /// Store (write-allocate).
-    Write,
-}
-
 /// Which level served a demand access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServedBy {
@@ -87,11 +78,11 @@ impl Default for HierarchyConfig {
 /// # Example
 ///
 /// ```
-/// use sb_mem::{AccessKind, MemoryHierarchy, HierarchyConfig, ServedBy};
+/// use sb_mem::{MemoryHierarchy, HierarchyConfig, ServedBy};
 /// let mut m = MemoryHierarchy::new(HierarchyConfig::rtl_default());
-/// let cold = m.access(0x4000, AccessKind::Read);
+/// let cold = m.access(0x4000, None);
 /// assert_eq!(cold.served_by, ServedBy::Dram);
-/// let warm = m.access(0x4000, AccessKind::Read);
+/// let warm = m.access(0x4000, None);
 /// assert_eq!(warm.served_by, ServedBy::L1);
 /// assert!(warm.latency < cold.latency);
 /// ```
@@ -100,13 +91,15 @@ pub struct MemoryHierarchy {
     config: HierarchyConfig,
     l1d: Cache,
     l2: Cache,
-    l1_prefetcher: Option<StridePrefetcher>,
-    l2_prefetcher: Option<StridePrefetcher>,
+    /// The L1 and L2 stride prefetchers' shared stream table. Both observe
+    /// every demand access, so they train identically and differ only in
+    /// how many of the targets they install: one table emits the larger
+    /// degree's targets and each level takes its own prefix.
+    prefetcher: Option<StridePrefetcher>,
     /// Recycled buffer for prefetch targets (the access path runs once per
     /// simulated memory operation).
     prefetch_scratch: Vec<u64>,
     demand_accesses: u64,
-    prefetches: u64,
     /// Attached leakage observer (`None` keeps the access hot path free of
     /// recording work beyond one branch). Boxed: the observer's event log
     /// should not bloat the hierarchy for the overwhelmingly common
@@ -121,17 +114,14 @@ impl MemoryHierarchy {
     /// Builds an empty hierarchy.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
+        let degree = config.l1_prefetch_degree.max(config.l2_prefetch_degree);
         MemoryHierarchy {
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
-            l1_prefetcher: (config.l1_prefetch_degree > 0)
-                .then(|| StridePrefetcher::new(config.l1_prefetch_degree)),
-            l2_prefetcher: (config.l2_prefetch_degree > 0)
-                .then(|| StridePrefetcher::new(config.l2_prefetch_degree)),
+            prefetcher: (degree > 0).then(|| StridePrefetcher::new(degree)),
             config,
             prefetch_scratch: Vec::new(),
             demand_accesses: 0,
-            prefetches: 0,
             leakage: None,
             contention: None,
         }
@@ -150,11 +140,6 @@ impl MemoryHierarchy {
         self.leakage.as_deref()
     }
 
-    /// Detaches and returns the leakage observer.
-    pub fn take_leakage_observer(&mut self) -> Option<LeakageObserver> {
-        self.leakage.take().map(|b| *b)
-    }
-
     /// Attaches a fresh [`ContentionObserver`]: from now on every MSHR
     /// occupancy and reported memory-port use is recorded with its
     /// attribution. Replaces any previous observer.
@@ -166,11 +151,6 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn contention_observer(&self) -> Option<&ContentionObserver> {
         self.contention.as_deref()
-    }
-
-    /// Detaches and returns the contention observer.
-    pub fn take_contention_observer(&mut self) -> Option<ContentionObserver> {
-        self.contention.take().map(|b| *b)
     }
 
     /// The core's issue path consumed a memory port on behalf of `attr`
@@ -225,23 +205,17 @@ impl MemoryHierarchy {
         &self.config
     }
 
-    /// Performs a demand access and returns the latency/level outcome.
-    /// Prefetchers observe the access and install their targets silently.
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        self.access_attributed(addr, kind, None)
-    }
-
-    /// [`MemoryHierarchy::access`] with an instruction attribution: when a
-    /// [`LeakageObserver`] is attached, every cache-state change this access
-    /// causes (demand fills, MSHR allocation, evictions, prefetch installs)
-    /// is recorded against `attr`. Timing and cache state are identical to
-    /// the unattributed path — observation never perturbs the simulation.
-    pub fn access_attributed(
-        &mut self,
-        addr: u64,
-        _kind: AccessKind,
-        attr: Option<Attribution>,
-    ) -> AccessOutcome {
+    /// Performs a demand access (a load, or a store's write-allocate) and
+    /// returns the latency/level outcome. The prefetchers observe the
+    /// access and install their targets.
+    ///
+    /// With an attribution and an attached [`LeakageObserver`], every
+    /// cache-state change this access causes (demand fills, MSHR
+    /// allocation, evictions, prefetch installs) is recorded against
+    /// `attr`; an attached [`ContentionObserver`] records the demand miss's
+    /// MSHR occupancy. Timing and cache state do not depend on `attr` —
+    /// observation never perturbs the simulation.
+    pub fn access(&mut self, addr: u64, attr: Option<Attribution>) -> AccessOutcome {
         self.demand_accesses += 1;
         let l1 = self.l1d.access_traced(addr);
         let (latency, served_by, l2) = if l1.hit {
@@ -292,11 +266,15 @@ impl MemoryHierarchy {
         }
 
         let mut prefetches_issued = 0;
-        let mut targets = std::mem::take(&mut self.prefetch_scratch);
-        if let Some(pf) = &mut self.l1_prefetcher {
-            targets.clear();
-            pf.observe_into(addr, &mut targets);
-            for &target in &targets {
+        if let Some(pf) = &mut self.prefetcher {
+            self.prefetch_scratch.clear();
+            pf.observe_into(addr, &mut self.prefetch_scratch);
+            // Targets run outward one stride at a time, and negative ones
+            // are dropped only past the last valid one, so each level's
+            // degree-limited prefix is exactly what a table of that
+            // degree would have emitted.
+            let targets = &self.prefetch_scratch;
+            for &target in targets.iter().take(self.config.l1_prefetch_degree) {
                 let t1 = self.l1d.access_traced(target);
                 let t2 = self.l2.access_traced(target);
                 prefetches_issued += 1;
@@ -315,11 +293,7 @@ impl MemoryHierarchy {
                     );
                 }
             }
-        }
-        if let Some(pf) = &mut self.l2_prefetcher {
-            targets.clear();
-            pf.observe_into(addr, &mut targets);
-            for &target in &targets {
+            for &target in targets.iter().take(self.config.l2_prefetch_degree) {
                 let t2 = self.l2.access_traced(target);
                 prefetches_issued += 1;
                 if let (Some(obs), Some(attr)) = (self.leakage.as_deref_mut(), attr) {
@@ -332,8 +306,6 @@ impl MemoryHierarchy {
                 }
             }
         }
-        self.prefetch_scratch = targets;
-        self.prefetches += u64::from(prefetches_issued);
 
         AccessOutcome {
             latency,
@@ -349,34 +321,10 @@ impl MemoryHierarchy {
         self.l1d.probe(addr)
     }
 
-    /// Attacker flush: evict `addr` from both levels.
-    pub fn flush_line(&mut self, addr: u64) {
-        self.l1d.flush_line(addr);
-        self.l2.flush_line(addr);
-    }
-
-    /// Empty both cache levels and reset prefetch training.
-    pub fn flush_all(&mut self) {
-        self.l1d.flush_all();
-        self.l2.flush_all();
-        if let Some(p) = &mut self.l1_prefetcher {
-            p.reset();
-        }
-        if let Some(p) = &mut self.l2_prefetcher {
-            p.reset();
-        }
-    }
-
     /// Total demand accesses observed.
     #[must_use]
     pub fn demand_accesses(&self) -> u64 {
         self.demand_accesses
-    }
-
-    /// Total prefetches installed.
-    #[must_use]
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches
     }
 }
 
@@ -404,10 +352,10 @@ mod tests {
     #[test]
     fn latency_ladder() {
         let mut m = no_prefetch();
-        let dram = m.access(0x10000, AccessKind::Read);
+        let dram = m.access(0x10000, None);
         assert_eq!(dram.served_by, ServedBy::Dram);
         assert_eq!(dram.latency, 4 + 14 + 80);
-        let l1 = m.access(0x10000, AccessKind::Read);
+        let l1 = m.access(0x10000, None);
         assert_eq!(l1.served_by, ServedBy::L1);
         assert_eq!(l1.latency, 4);
     }
@@ -415,12 +363,12 @@ mod tests {
     #[test]
     fn l2_serves_after_l1_eviction() {
         let mut m = no_prefetch();
-        m.access(0x0, AccessKind::Read);
+        m.access(0x0, None);
         // Thrash set 0 of the 64-set, 8-way L1 (stride = 64 sets * 64 B).
         for i in 1..=8u64 {
-            m.access(i * 64 * 64, AccessKind::Read);
+            m.access(i * 64 * 64, None);
         }
-        let back = m.access(0x0, AccessKind::Read);
+        let back = m.access(0x0, None);
         assert_eq!(back.served_by, ServedBy::L2, "L1 evicted, L2 retains");
     }
 
@@ -428,17 +376,20 @@ mod tests {
     fn streaming_gets_prefetched() {
         let mut m = MemoryHierarchy::new(HierarchyConfig::rtl_default());
         let mut dram_hits_late = 0;
+        let mut prefetches = 0;
         for i in 0..64u64 {
-            let out = m.access(0x100000 + i * 64, AccessKind::Read);
+            let out = m.access(0x100000 + i * 64, None);
             if i >= 4 && out.served_by == ServedBy::Dram {
                 dram_hits_late += 1;
             }
+            prefetches += out.prefetches_issued;
         }
         assert_eq!(
             dram_hits_late, 0,
             "stride prefetcher must cover a pure streaming pattern"
         );
-        assert!(m.prefetches() > 0);
+        // From the third access on, each installs 2 L1 + 4 L2 targets.
+        assert_eq!(prefetches, 62 * 6);
     }
 
     #[test]
@@ -446,15 +397,6 @@ mod tests {
         let c = HierarchyConfig::abstract_default();
         assert_eq!(c.l1d.latency, 1);
         assert_eq!(HierarchyConfig::rtl_default().l1d.latency, 4);
-    }
-
-    #[test]
-    fn flush_line_forces_remiss() {
-        let mut m = no_prefetch();
-        m.access(0x40, AccessKind::Read);
-        m.flush_line(0x40);
-        let out = m.access(0x40, AccessKind::Read);
-        assert_eq!(out.served_by, ServedBy::Dram);
     }
 
     fn attr(seq: u64, speculative: bool, wrong_path: bool) -> Attribution {
@@ -469,7 +411,7 @@ mod tests {
     fn attributed_miss_records_mshr_and_fills_then_resolves_transient() {
         let mut m = no_prefetch();
         m.attach_leakage_observer();
-        m.access_attributed(0x4000_0040, AccessKind::Read, Some(attr(5, true, true)));
+        m.access(0x4000_0040, Some(attr(5, true, true)));
         let obs = m.leakage_observer().expect("attached");
         let kinds: Vec<_> = obs.changes().iter().map(|c| c.kind).collect();
         assert_eq!(
@@ -483,10 +425,15 @@ mod tests {
         assert!(obs.transient_lines().is_empty(), "no squash reported yet");
 
         m.note_squash(Seq::new(5));
+        // Eight unattributed lines 64 KiB apart share the line's L1 and L2
+        // sets and evict it from both (8 ways each).
+        for i in 1..=8u64 {
+            m.access(0x4000_0040 + i * 0x1_0000, None);
+        }
         // A replayed access after the squash gets a fresh (larger) seq and
         // must stay non-transient even though it touches the same line.
-        m.flush_line(0x4000_0040);
-        m.access_attributed(0x4000_0040, AccessKind::Read, Some(attr(9, false, false)));
+        let replay = m.access(0x4000_0040, Some(attr(9, false, false)));
+        assert_eq!(replay.served_by, ServedBy::Dram);
         let obs = m.leakage_observer().unwrap();
         assert_eq!(
             obs.transient_lines().into_iter().collect::<Vec<_>>(),
@@ -501,10 +448,10 @@ mod tests {
         let mut m = no_prefetch();
         m.attach_contention_observer();
         // Cold miss: MSHR held for the DRAM fill's full latency.
-        let out = m.access_attributed(0x4000_0040, AccessKind::Read, Some(attr(5, true, true)));
+        let out = m.access(0x4000_0040, Some(attr(5, true, true)));
         m.note_port_use(attr(5, true, true));
         // Warm hit: a port use but no MSHR.
-        m.access_attributed(0x4000_0040, AccessKind::Read, Some(attr(6, true, true)));
+        m.access(0x4000_0040, Some(attr(6, true, true)));
         m.note_port_use(attr(6, true, true));
         m.note_squash(Seq::new(5));
         let obs = m.contention_observer().expect("attached");
@@ -517,25 +464,23 @@ mod tests {
             vec![1]
         );
         // One MSHR (the cold miss only) + two port uses.
-        let taken = m.take_contention_observer().expect("still attached");
-        assert_eq!(taken.len(), 3);
-        assert!(m.contention_observer().is_none());
+        assert_eq!(obs.len(), 3);
     }
 
     #[test]
     fn detached_contention_observer_records_nothing() {
         let mut m = no_prefetch();
         m.note_port_use(attr(1, true, true));
-        m.access_attributed(0x80, AccessKind::Read, Some(attr(1, true, true)));
+        m.access(0x80, Some(attr(1, true, true)));
         assert!(m.contention_observer().is_none());
     }
 
     #[test]
     fn hits_record_no_cache_change() {
         let mut m = no_prefetch();
-        m.access(0x80, AccessKind::Read); // warm, unattributed
+        m.access(0x80, None); // warm, unattributed
         m.attach_leakage_observer();
-        m.access_attributed(0x80, AccessKind::Read, Some(attr(1, true, true)));
+        m.access(0x80, Some(attr(1, true, true)));
         assert!(
             m.leakage_observer().unwrap().is_empty(),
             "a warm hit changes no recordable cache state"
@@ -547,7 +492,7 @@ mod tests {
         let mut m = MemoryHierarchy::new(HierarchyConfig::rtl_default());
         m.attach_leakage_observer();
         for (i, addr) in [0x10000u64, 0x10040, 0x10080].into_iter().enumerate() {
-            m.access_attributed(addr, AccessKind::Read, Some(attr(i as u64 + 1, true, true)));
+            m.access(addr, Some(attr(i as u64 + 1, true, true)));
         }
         let obs = m.leakage_observer().unwrap();
         let pf: Vec<_> = obs
@@ -577,18 +522,18 @@ mod tests {
     fn unattributed_access_records_nothing_even_when_observed() {
         let mut m = no_prefetch();
         m.attach_leakage_observer();
-        m.access(0x4000, AccessKind::Read);
+        m.attach_contention_observer();
+        let out = m.access(0x4000, None);
+        assert_eq!(out.served_by, ServedBy::Dram, "a cold miss, unrecorded");
         assert!(m.leakage_observer().unwrap().is_empty());
-        let taken = m.take_leakage_observer().expect("still attached");
-        assert!(taken.is_empty());
-        assert!(m.leakage_observer().is_none());
+        assert!(m.contention_observer().unwrap().is_empty());
     }
 
     #[test]
     fn probe_is_side_effect_free() {
         let mut m = no_prefetch();
         assert!(!m.probe_l1d(0x40));
-        m.access(0x40, AccessKind::Write);
+        m.access(0x40, None);
         assert!(m.probe_l1d(0x40));
         assert_eq!(m.demand_accesses(), 1);
     }

@@ -8,8 +8,12 @@
 //! The abstract (gem5-like) fidelity mode of `sb-uarch` overrides the L1
 //! latency to 1 cycle to reproduce that effect.
 //!
+//! The model is the one `sb-analysis` reasons about: true-LRU sets kept in
+//! recency order, and one stride table shared by the L1 and L2 prefetchers
+//! (both observe the same demand stream; only their degrees differ).
+//!
 //! Cross-crate data flow: `sb-uarch`'s LSU and commit stages call
-//! [`MemoryHierarchy::access_attributed`] for every simulated load/store
+//! [`MemoryHierarchy::access`] for every simulated load/store
 //! (it sits on the simulator's hottest shared path — keep it lean), and
 //! the `verify-security` battery and the attack examples attach a
 //! [`LeakageObserver`] to charge every fill, eviction, prefetch
@@ -18,9 +22,12 @@
 //! plus a [`ContentionObserver`] charging MSHR occupancy and memory-port
 //! pressure the same way (the non-cache-state channels: the core's issue
 //! paths report port uses via [`MemoryHierarchy::note_port_use`]).
-//! Behaviour here is part of the golden-stats contract: any change to
-//! hit/miss or prefetch decisions changes `SimStats` and trips the
-//! differential tests.
+//! Any change to hit/miss or prefetch decisions changes `SimStats`, but
+//! `golden_stats` cannot see it: both of its schedulers share this
+//! hierarchy, so both sides move together. What catches it is
+//! `tests/replay_pin.rs` here (every outcome and leakage record of a fixed
+//! stream), the workspace's `results_canary` (a digest of simulated
+//! results) and `core_behavior`'s pinned counts.
 
 #![forbid(unsafe_code)]
 
@@ -31,10 +38,9 @@ mod hierarchy;
 mod observer;
 mod prefetch;
 
-pub use cache::{AccessTrace, Cache, CacheConfig};
-pub use hierarchy::{AccessKind, AccessOutcome, HierarchyConfig, MemoryHierarchy, ServedBy};
+pub use cache::CacheConfig;
+pub use hierarchy::{AccessOutcome, HierarchyConfig, MemoryHierarchy, ServedBy};
 pub use observer::{
     Attribution, CacheChange, CacheChangeKind, ContentionEvent, ContentionKind, ContentionObserver,
     LeakageObserver,
 };
-pub use prefetch::StridePrefetcher;

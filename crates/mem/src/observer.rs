@@ -134,11 +134,11 @@ impl CacheChange {
 ///
 /// ```
 /// use sb_isa::Seq;
-/// use sb_mem::{AccessKind, Attribution, HierarchyConfig, MemoryHierarchy};
+/// use sb_mem::{Attribution, HierarchyConfig, MemoryHierarchy};
 /// let mut m = MemoryHierarchy::new(HierarchyConfig::rtl_default());
 /// m.attach_leakage_observer();
 /// let attr = Attribution { seq: Seq::new(7), speculative: true, wrong_path: true };
-/// m.access_attributed(0x4000_0000, AccessKind::Read, Some(attr));
+/// m.access(0x4000_0000, Some(attr));
 /// m.note_squash(Seq::new(7)); // the wrong-path load is squashed
 /// let obs = m.leakage_observer().unwrap();
 /// assert!(obs.transient_lines().contains(&0x4000_0000));
@@ -205,12 +205,6 @@ impl LeakageObserver {
     /// Changes attributed to squashed instructions.
     pub fn transient_changes(&self) -> impl Iterator<Item = &CacheChange> {
         self.changes.iter().filter(|c| c.is_transient())
-    }
-
-    /// Changes made while the attributed instruction was still speculative
-    /// (whether or not it later committed).
-    pub fn speculative_changes(&self) -> impl Iterator<Item = &CacheChange> {
-        self.changes.iter().filter(|c| c.attr.speculative)
     }
 
     /// The set of line addresses touched by transient changes.
@@ -496,7 +490,6 @@ mod tests {
         let slots = obs.transient_slots(0x1000, 4096, 16);
         assert_eq!(slots.into_iter().collect::<Vec<_>>(), vec![0, 3]);
         assert_eq!(obs.transient_changes().count(), 4);
-        assert_eq!(obs.speculative_changes().count(), 5);
         assert_eq!(format!("{obs}"), "5 cache changes (4 transient)");
     }
 

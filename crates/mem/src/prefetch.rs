@@ -1,5 +1,6 @@
 //! A stride prefetcher (the gem5 configuration the paper lists in Table 2
-//! uses stride prefetchers at both L1D and L2).
+//! uses stride prefetchers at both L1D and L2; both observe the same
+//! demand stream, so the hierarchy keeps one table for the two).
 //!
 //! Streams are tracked per 4 KiB region: when the same region shows two
 //! consecutive accesses with an identical stride, the prefetcher emits
@@ -86,11 +87,6 @@ impl StridePrefetcher {
         }
         entry.last_addr = addr;
     }
-
-    /// Forgets all trained streams.
-    pub fn reset(&mut self) {
-        self.table.clear();
-    }
 }
 
 #[cfg(test)]
@@ -153,11 +149,20 @@ mod tests {
 
     #[test]
     fn reset_forgets_streams() {
+        // The table resets when a new region arrives with all 64 entries
+        // taken: a stream trained before then starts over.
         let mut p = StridePrefetcher::new(1);
         observe(&mut p, 0x1000);
         observe(&mut p, 0x1040);
-        p.reset();
-        assert!(observe(&mut p, 0x1080).is_empty());
+        for region in 2..=64u64 {
+            observe(&mut p, region << 12);
+        }
+        assert_eq!(observe(&mut p, 0x1080), vec![0x10C0], "64 regions fit");
+        observe(&mut p, 65 << 12);
+        assert!(
+            observe(&mut p, 0x10C0).is_empty(),
+            "the 65th region reset the table"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use sb_mem::{AccessOutcome, Attribution, HierarchyConfig, MemoryHierarchy, Serve
 
 /// The one call into the hierarchy's access path.
 fn step(m: &mut MemoryHierarchy, addr: u64, attr: Option<Attribution>) -> AccessOutcome {
-    m.access_attributed(addr, sb_mem::AccessKind::Read, attr)
+    m.access(addr, attr)
 }
 
 /// The fixed address stream.

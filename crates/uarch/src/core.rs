@@ -97,7 +97,7 @@ use sb_core::{
     SchemeConfig, ShadowKind, SpeculationTracker, ThreatModel,
 };
 use sb_isa::{OpClass, PhysReg, Seq, Trace};
-use sb_mem::{AccessKind, Attribution, MemoryHierarchy, ServedBy};
+use sb_mem::{Attribution, MemoryHierarchy, ServedBy};
 use sb_stats::SimStats;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -792,9 +792,8 @@ impl Core {
                     // Stores write the hierarchy at commit: by definition
                     // non-speculative, but still attributed so the leakage
                     // observer's event log is complete.
-                    let out = self.mem.access_attributed(
+                    let out = self.mem.access(
                         mem.addr,
-                        AccessKind::Write,
                         Some(Attribution {
                             seq: inst.seq,
                             speculative: false,
@@ -1521,9 +1520,8 @@ impl Core {
                 // wrong path) that later squashes has made a transient
                 // cache-state change — the side channel the secure schemes
                 // must close.
-                let out = self.mem.access_attributed(
+                let out = self.mem.access(
                     addr,
-                    AccessKind::Read,
                     Some(Attribution {
                         seq,
                         speculative,
