@@ -29,7 +29,8 @@ use std::fmt;
 /// q.push(Seq::new(3), ());
 /// q.push(Seq::new(1), ());
 /// // Only seq 1 is non-speculative yet; bandwidth 1.
-/// let sent = q.drain_ready(|s| s <= Seq::new(1), Some(1));
+/// let mut sent = Vec::new();
+/// q.drain_ready_into(|s| s <= Seq::new(1), Some(1), &mut sent);
 /// assert_eq!(sent, vec![(Seq::new(1), ())]);
 /// assert_eq!(q.len(), 1);
 /// ```
@@ -40,8 +41,6 @@ pub struct BroadcastQueue<T> {
     /// double-ended queue with a binary-search fallback for out-of-order
     /// pushes — much cheaper than a tree for the per-cycle drain.
     pending: VecDeque<(Seq, T)>,
-    total_sent: u64,
-    peak_pending: usize,
 }
 
 impl<T> Default for BroadcastQueue<T> {
@@ -56,8 +55,6 @@ impl<T> BroadcastQueue<T> {
     pub fn new() -> Self {
         BroadcastQueue {
             pending: VecDeque::new(),
-            total_sent: 0,
-            peak_pending: 0,
         }
     }
 
@@ -74,29 +71,16 @@ impl<T> BroadcastQueue<T> {
             }
             _ => self.pending.push_back((seq, payload)),
         }
-        self.peak_pending = self.peak_pending.max(self.pending.len());
     }
 
     /// Sends up to `bandwidth` broadcasts this cycle (all of them if
     /// `None`), oldest first, stopping at the first entry for which `ready`
-    /// is false.
+    /// is false. The sent entries are appended to `sent`, a buffer the
+    /// caller recycles (the simulator drains this queue every cycle).
     ///
     /// `ready` must be monotone in seq (true for a prefix): loads become
     /// non-speculative in program order, so the visibility point never
     /// leapfrogs a pending entry.
-    pub fn drain_ready(
-        &mut self,
-        ready: impl Fn(Seq) -> bool,
-        bandwidth: Option<usize>,
-    ) -> Vec<(Seq, T)> {
-        let mut sent = Vec::new();
-        self.drain_ready_into(ready, bandwidth, &mut sent);
-        sent
-    }
-
-    /// [`BroadcastQueue::drain_ready`] into a caller-provided buffer, for
-    /// per-cycle callers that want to avoid allocating (the simulator
-    /// drains this queue every cycle).
     pub fn drain_ready_into(
         &mut self,
         ready: impl Fn(Seq) -> bool,
@@ -115,7 +99,6 @@ impl<T> BroadcastQueue<T> {
             let entry = self.pending.pop_front().expect("peeked entry exists");
             sent.push(entry);
         }
-        self.total_sent += (sent.len() - start) as u64;
     }
 
     /// Sends the oldest pending broadcast if `ready` accepts it — the
@@ -127,7 +110,6 @@ impl<T> BroadcastQueue<T> {
         if !ready(seq) {
             return None;
         }
-        self.total_sent += 1;
         self.pending.pop_front()
     }
 
@@ -156,28 +138,11 @@ impl<T> BroadcastQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
-
-    /// Total broadcasts sent over the run (power proxy, §8.5).
-    #[must_use]
-    pub fn total_sent(&self) -> u64 {
-        self.total_sent
-    }
-
-    /// High-water mark of the pending queue (area/backpressure diagnostics).
-    #[must_use]
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
-    }
 }
 
 impl<T> fmt::Display for BroadcastQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} pending, {} sent",
-            self.pending.len(),
-            self.total_sent
-        )
+        write!(f, "{} pending", self.pending.len())
     }
 }
 
@@ -189,18 +154,28 @@ mod tests {
         Seq::new(n)
     }
 
+    /// Drains into a fresh buffer.
+    fn drain<T>(
+        q: &mut BroadcastQueue<T>,
+        ready: impl Fn(Seq) -> bool,
+        bandwidth: Option<usize>,
+    ) -> Vec<(Seq, T)> {
+        let mut sent = Vec::new();
+        q.drain_ready_into(ready, bandwidth, &mut sent);
+        sent
+    }
+
     #[test]
     fn drains_oldest_first_up_to_bandwidth() {
         let mut q = BroadcastQueue::new();
         q.push(s(3), 'c');
         q.push(s(1), 'a');
         q.push(s(2), 'b');
-        let sent = q.drain_ready(|_| true, Some(2));
+        let sent = drain(&mut q, |_| true, Some(2));
         assert_eq!(sent, vec![(s(1), 'a'), (s(2), 'b')]);
-        let sent = q.drain_ready(|_| true, Some(2));
+        let sent = drain(&mut q, |_| true, Some(2));
         assert_eq!(sent, vec![(s(3), 'c')]);
         assert!(q.is_empty());
-        assert_eq!(q.total_sent(), 3);
     }
 
     #[test]
@@ -208,7 +183,7 @@ mod tests {
         let mut q = BroadcastQueue::new();
         q.push(s(5), ());
         q.push(s(8), ());
-        let sent = q.drain_ready(|seq| seq <= s(4), Some(4));
+        let sent = drain(&mut q, |seq| seq <= s(4), Some(4));
         assert!(sent.is_empty());
         assert_eq!(q.len(), 2);
     }
@@ -219,7 +194,7 @@ mod tests {
         for i in 0..100 {
             q.push(s(i), ());
         }
-        let sent = q.drain_ready(|_| true, None);
+        let sent = drain(&mut q, |_| true, None);
         assert_eq!(sent.len(), 100);
     }
 
@@ -231,7 +206,7 @@ mod tests {
         q.push(s(9), ());
         q.squash_younger(s(5));
         assert_eq!(q.len(), 2, "seq 5 itself survives");
-        let sent = q.drain_ready(|_| true, None);
+        let sent = drain(&mut q, |_| true, None);
         assert_eq!(
             sent.iter().map(|(x, _)| *x).collect::<Vec<_>>(),
             vec![s(1), s(5)]
@@ -244,24 +219,14 @@ mod tests {
         q.push(s(1), 'a');
         q.push(s(1), 'b');
         assert_eq!(q.len(), 1);
-        assert_eq!(q.drain_ready(|_| true, None), vec![(s(1), 'b')]);
-    }
-
-    #[test]
-    fn peak_pending_tracks_high_water() {
-        let mut q = BroadcastQueue::new();
-        q.push(s(1), ());
-        q.push(s(2), ());
-        q.drain_ready(|_| true, None);
-        q.push(s(3), ());
-        assert_eq!(q.peak_pending(), 2);
+        assert_eq!(drain(&mut q, |_| true, None), vec![(s(1), 'b')]);
     }
 
     #[test]
     fn zero_bandwidth_sends_nothing() {
         let mut q = BroadcastQueue::new();
         q.push(s(1), ());
-        assert!(q.drain_ready(|_| true, Some(0)).is_empty());
+        assert!(drain(&mut q, |_| true, Some(0)).is_empty());
         assert_eq!(q.len(), 1);
     }
 }

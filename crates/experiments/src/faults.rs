@@ -2,10 +2,9 @@
 //! layer end-to-end.
 //!
 //! A [`FaultPlan`] names which job indexes misbehave and how. It is armed
-//! explicitly — via the `--inject-faults` CLI flag or the
-//! [`FAULT_ENV`] environment variable — and is `None` everywhere else, so
-//! release paths carry no injection logic beyond one `Option` check per
-//! job attempt.
+//! explicitly, by the `--inject-faults` CLI flag, and is `None` everywhere
+//! else, so release paths carry no injection logic beyond one `Option`
+//! check per job attempt.
 //!
 //! Spec grammar (comma-separated, whitespace-tolerant):
 //!
@@ -24,10 +23,6 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// Environment variable holding a fault spec; same grammar as
-/// `--inject-faults`. The CLI flag wins when both are set.
-pub const FAULT_ENV: &str = "SB_FAULT_INJECT";
 
 /// Which job indexes misbehave, and how.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -69,21 +64,6 @@ impl FaultPlan {
             return Err("fault spec names no faults".to_string());
         }
         Ok(plan)
-    }
-
-    /// Reads a plan from [`FAULT_ENV`]; `Ok(None)` when unset or blank.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlan::parse`] errors, prefixed with the variable
-    /// name.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var(FAULT_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec)
-                .map(Some)
-                .map_err(|e| format!("{FAULT_ENV}: {e}")),
-            _ => Ok(None),
-        }
     }
 
     /// True when the plan names no faults.

@@ -138,12 +138,6 @@ impl<T> BatchReport<T> {
         self.failures.is_empty()
     }
 
-    /// Number of jobs that produced a result.
-    #[must_use]
-    pub fn survivors(&self) -> usize {
-        self.results.iter().filter(|r| r.is_some()).count()
-    }
-
     /// Renders the per-job failure report (empty string when all jobs
     /// succeeded); see [`render_failures`].
     #[must_use]
@@ -277,7 +271,7 @@ mod tests {
     fn all_jobs_succeeding_yields_a_clean_report() {
         let report = run_batch(&labels(8), &quick_policy(), |ctx| Ok(ctx.index * 10));
         assert!(report.ok());
-        assert_eq!(report.survivors(), 8);
+        assert_eq!(report.results.iter().flatten().count(), 8);
         assert_eq!(report.results[3], Some(30));
         assert!(report.render_failures().is_empty());
     }
@@ -291,7 +285,7 @@ mod tests {
                 Ok(ctx.index)
             }
         });
-        assert_eq!(report.survivors(), 5);
+        assert_eq!(report.results.iter().flatten().count(), 5);
         assert_eq!(report.results[2], None);
         assert_eq!(report.failures.len(), 1);
         let e = &report.failures[0];
@@ -312,7 +306,7 @@ mod tests {
             assert!(ctx.index != 4, "kernel exploded");
             Ok(ctx.index)
         });
-        assert_eq!(report.survivors(), 4);
+        assert_eq!(report.results.iter().flatten().count(), 4);
         match &report.failures[0].cause {
             JobFailure::Panicked(m) => assert!(m.contains("kernel exploded"), "{m}"),
             other => panic!("expected Panicked, got {other:?}"),
@@ -361,7 +355,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(ran.load(Ordering::Relaxed), 0, "no job should start");
-        assert_eq!(report.survivors(), 0);
+        assert_eq!(report.results.iter().flatten().count(), 0);
         assert!(report
             .failures
             .iter()
@@ -391,7 +385,7 @@ mod tests {
             ..quick_policy()
         };
         let report = run_batch(&labels(3), &policy, |ctx| Ok(ctx.index));
-        assert_eq!(report.survivors(), 2);
+        assert_eq!(report.results.iter().flatten().count(), 2);
         assert_eq!(
             report.failures[0].cause,
             JobFailure::Panicked("injected fault: panic@1".to_string())
@@ -450,7 +444,7 @@ mod tests {
         ] {
             assert_eq!(report.results, want_results);
             assert_eq!(report.failures, want_failures);
-            assert_eq!(report.survivors(), n / 3);
+            assert_eq!(report.results.iter().flatten().count(), n / 3);
         }
     }
 

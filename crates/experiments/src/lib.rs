@@ -27,7 +27,7 @@ pub use engine::{
     bench_trace, run_grid, run_grid_with, ExperimentError, GridResults, ProgressSink, RunOptions,
     RunReport, RunSpec,
 };
-pub use faults::{FaultPlan, FAULT_ENV};
+pub use faults::FaultPlan;
 pub use jobs::{BatchReport, JobCtx, JobError, JobFailure, JobPolicy};
 pub use render::{bar, format_table};
 pub use reports::{

@@ -47,8 +47,7 @@
 //! a line in the failure report (`N of M jobs failed: #i label: cause`)
 //! while every other job's result is kept; the affected reports are
 //! skipped with a per-report error and the process exits 1. Every job runs
-//! exactly once. `--inject-faults panic@I,overrun@I,corrupt-stats@I` (or
-//! the `SB_FAULT_INJECT` environment variable; the flag wins)
+//! exactly once. `--inject-faults panic@I,overrun@I,corrupt-stats@I`
 //! deterministically injects faults at job index I to exercise exactly
 //! that machinery.
 //!
@@ -130,7 +129,7 @@ const USAGE: &str =
      traces are cached under target/trace-cache/ (SB_TRACE_CACHE=0 or --no-trace-cache disables)\n\
      grid stats are cached under target/stats-cache/ (SB_STATS_CACHE=0 disables; --resume reads \
      them back)\n\
-     fault spec: comma-separated panic@I | overrun@I | corrupt-stats@I (also via SB_FAULT_INJECT)";
+     fault spec: comma-separated panic@I | overrun@I | corrupt-stats@I";
 
 /// What one invocation runs: a list of experiments, or one subcommand,
 /// which runs alone.
@@ -426,20 +425,14 @@ fn write_reports<'a>(out: &Path, reports: impl IntoIterator<Item = &'a Report>) 
     eprintln!("CSV written to {}", out.display());
 }
 
-/// Builds the job policy from the CLI flags, resolving the fault plan:
-/// `--inject-faults` wins over `SB_FAULT_INJECT`; a malformed environment
-/// spec is a hard error (a typo must never silently disarm the harness).
-fn job_policy(args: &Args) -> Result<JobPolicy, String> {
-    let faults = match &args.faults {
-        Some(plan) => Some(plan.clone()),
-        None => FaultPlan::from_env()?,
-    };
-    Ok(JobPolicy {
+/// Builds the job policy from the CLI flags.
+fn job_policy(args: &Args) -> JobPolicy {
+    JobPolicy {
         job_deadline: args.job_deadline,
         run_budget: args.run_budget,
-        faults,
+        faults: args.faults.clone(),
         ..JobPolicy::default()
-    })
+    }
 }
 
 /// The threat models of a security run, as `spectre+futuristic`.
@@ -683,7 +676,7 @@ fn main() {
             if args.no_trace_cache {
                 std::env::set_var(sb_workloads::TRACE_CACHE_ENV, "0");
             }
-            let policy = job_policy(&args).unwrap_or_else(|e| usage_error(&e));
+            let policy = job_policy(&args);
             match command {
                 VerifySecurity => run_verify_security(&args, &policy),
                 AnalyzeSecurity => run_analyze_security(&args),
@@ -1100,15 +1093,6 @@ mod tests {
         assert!(err.contains("--from-manifest requires a value"), "{err}");
         let err = parse(&["sweep", "--spec", "base=mega", "--top", "many"]).unwrap_err();
         assert!(err.contains("--top") && err.contains("many"), "{err}");
-    }
-
-    #[test]
-    fn cli_fault_plan_wins_over_the_environment() {
-        // job_policy resolution is pure given parsed args with a CLI plan
-        // (the env is only consulted when the flag is absent).
-        let a = parse(&["--inject-faults", "overrun@1"]).unwrap();
-        let policy = job_policy(&a).unwrap();
-        assert!(policy.faults.unwrap().overruns_at(1));
     }
 
     #[test]

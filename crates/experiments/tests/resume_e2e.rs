@@ -30,13 +30,12 @@ impl Scratch {
     }
 
     /// Runs the binary against one stats cache and output dir, with a
-    /// fully pinned environment (no ambient cache or fault variables).
+    /// fully pinned environment (no ambient cache variables).
     fn run(&self, stats: &str, out: &str, extra: &[&str]) -> Output {
         Command::new(BIN)
             .args(["--ops", "600", "--seed", "7", "table1", "fig6"])
             .args(["--out", self.dir(out).to_str().unwrap()])
             .args(extra)
-            .env_remove("SB_FAULT_INJECT")
             .env("SB_STATS_CACHE", self.dir(stats))
             // One shared trace cache: traces are content-addressed and
             // identical across runs, so this only saves generation time.

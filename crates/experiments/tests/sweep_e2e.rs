@@ -33,13 +33,12 @@ impl Scratch {
     }
 
     /// Runs `sweep` against one stats cache and output dir, with a fully
-    /// pinned environment (no ambient cache or fault variables).
+    /// pinned environment (no ambient cache variables).
     fn sweep(&self, stats: &str, out: &str, args: &[&str]) -> Output {
         Command::new(BIN)
             .arg("sweep")
             .args(args)
             .args(["--out", self.dir(out).to_str().unwrap()])
-            .env_remove("SB_FAULT_INJECT")
             .env("SB_STATS_CACHE", self.dir(stats))
             // One shared trace cache: traces are content-addressed and
             // identical across runs, so this only saves generation time.

@@ -222,10 +222,11 @@ proptest! {
             q.push(Seq::new(s), ());
         }
         let mut delivered = Vec::new();
+        let mut sent = Vec::new();
         while !q.is_empty() {
-            for (s, ()) in q.drain_ready(|_| true, Some(bandwidth)) {
-                delivered.push(s.value());
-            }
+            sent.clear();
+            q.drain_ready_into(|_| true, Some(bandwidth), &mut sent);
+            delivered.extend(sent.iter().map(|(s, ())| s.value()));
         }
         let expected: Vec<u64> = seqs.into_iter().collect();
         prop_assert_eq!(delivered, expected);
