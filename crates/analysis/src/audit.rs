@@ -18,18 +18,18 @@ pub struct RecomputedClaims {
     /// `must`-leak slots of the unprotected Baseline — what the dynamic
     /// judge requires every Baseline (and out-of-claim secure) run to
     /// cover.
-    pub expected_slots: Vec<usize>,
+    pub(crate) expected_slots: Vec<usize>,
     /// `may`-leak slots of the Baseline — the bound no run may exceed.
-    pub allowed_slots: Vec<usize>,
+    pub(crate) allowed_slots: Vec<usize>,
     /// The weakest threat model whose secure schemes block the kernel:
     /// `Spectre` iff the static `may` set is empty for every secure
     /// scheme under the Spectre model, else `Futuristic`.
-    pub min_model: ThreatModel,
+    pub(crate) min_model: ThreatModel,
 }
 
 /// Which claim constant drifted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClaimField {
+pub(crate) enum ClaimField {
     /// `AttackKernel::expected_slots` vs. the static must set.
     ExpectedSlots,
     /// `AttackKernel::allowed_slots` vs. the static may set.
@@ -54,11 +54,11 @@ pub struct ClaimDrift {
     /// Kernel (scenario) name.
     pub kernel: String,
     /// Which constant drifted.
-    pub field: ClaimField,
+    pub(crate) field: ClaimField,
     /// The hand-written value, rendered.
-    pub hand_written: String,
+    pub(crate) hand_written: String,
     /// The analyzer's value, rendered.
-    pub recomputed: String,
+    pub(crate) recomputed: String,
 }
 
 impl fmt::Display for ClaimDrift {
@@ -80,7 +80,7 @@ impl std::error::Error for ClaimDrift {}
 /// M-shadows, so the Baseline walk and one secure walk under the Spectre
 /// model cover all four schemes.
 #[must_use]
-pub fn recompute_claims(kernel: &AttackKernel) -> RecomputedClaims {
+pub(crate) fn recompute_claims(kernel: &AttackKernel) -> RecomputedClaims {
     let tracks_m = ThreatModel::Spectre.tracks(ShadowKind::Memory);
     let base = analyze(kernel, false, tracks_m);
     let spectre_blocks = analyze(kernel, true, tracks_m).may.is_empty();

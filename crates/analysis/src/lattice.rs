@@ -18,7 +18,7 @@ use sb_isa::OpClass;
 /// unresolved when a younger, address-ready load issues — the
 /// speculative-store-bypass window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Latency {
+pub(crate) enum Latency {
     /// Never written in the kernel (live-in) — available at rename.
     #[default]
     Ready,
@@ -31,7 +31,7 @@ pub enum Latency {
 impl Latency {
     /// Join (least upper bound): the slowest input dominates.
     #[must_use]
-    pub fn join(self, other: Latency) -> Latency {
+    pub(crate) fn join(self, other: Latency) -> Latency {
         self.max(other)
     }
 
@@ -40,7 +40,7 @@ impl Latency {
     /// can wait), every other compute pipe is `Fast`. Loads are classed
     /// at the access site from cache warmth, not here.
     #[must_use]
-    pub fn of_compute(class: OpClass) -> Latency {
+    pub(crate) fn of_compute(class: OpClass) -> Latency {
         if class.is_long_latency() {
             Latency::Slow
         } else if matches!(class, OpClass::IntAlu | OpClass::Nop) {
@@ -53,23 +53,23 @@ impl Latency {
 
 /// The abstract value of one architectural register.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AbsVal {
+pub(crate) struct AbsVal {
     /// When the value arrives.
-    pub lat: Latency,
+    pub(crate) lat: Latency,
     /// Whether the value derives from a shadowed load's data — a secure
     /// scheme must not let a transmitter consume it (§3.2).
-    pub tainted: bool,
+    pub(crate) tainted: bool,
     /// Whether the value derives from a stale store-bypass read: the
     /// producing load will be squashed and replayed, so every dependent
     /// executes transiently (a D-shadow root).
-    pub doomed: bool,
+    pub(crate) doomed: bool,
 }
 
 impl AbsVal {
     /// Join of two operand values (used op-by-op, not at control joins:
     /// the interpreter walks straight-line kernel traces).
     #[must_use]
-    pub fn join(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn join(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lat: self.lat.join(other.lat),
             tainted: self.tainted || other.tainted,

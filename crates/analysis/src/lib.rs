@@ -11,7 +11,7 @@
 //! * [`analyze_kernel`] computes the static `must ⊆ dynamic ⊆ may`
 //!   bracket ([`StaticLeaks`]) for one cell.
 //! * [`check_soundness`] turns a broken bracket into a typed
-//!   [`SoundnessError`] naming the kernel, scheme, threat model and
+//!   `SoundnessError` naming the kernel, scheme, threat model and
 //!   scheduler — wired into every cell of `sb-experiments`'
 //!   `verify-security` judge, under both schedulers.
 //! * [`audit_kernel`] / [`audit_battery`] recompute every kernel's
@@ -57,9 +57,6 @@ mod interp;
 mod lattice;
 mod soundness;
 
-pub use audit::{
-    audit_battery, audit_kernel, recompute_claims, ClaimDrift, ClaimField, RecomputedClaims,
-};
+pub use audit::{audit_battery, audit_kernel, ClaimDrift};
 pub use interp::{analyze_kernel, StaticLeaks};
-pub use lattice::{AbsVal, Latency};
-pub use soundness::{check_soundness, SoundnessError, SoundnessViolation};
+pub use soundness::check_soundness;

@@ -16,7 +16,7 @@ use std::fmt;
 
 /// Which side of the `must ⊆ dynamic ⊆ may` bracket broke.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SoundnessViolation {
+pub(crate) enum SoundnessViolation {
     /// Slots the analysis proves every execution leaks, absent from the
     /// dynamic measurement.
     MustExceedsDynamic {
@@ -34,15 +34,15 @@ pub enum SoundnessViolation {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SoundnessError {
     /// Kernel (scenario) name.
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// Scheme the cell ran under.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Threat model the cell ran under.
-    pub threat_model: ThreatModel,
+    pub(crate) threat_model: ThreatModel,
     /// Scheduler label (`wheel` / `reference`).
-    pub scheduler: &'static str,
+    pub(crate) scheduler: &'static str,
     /// The broken containment.
-    pub violation: SoundnessViolation,
+    pub(crate) violation: SoundnessViolation,
 }
 
 impl fmt::Display for SoundnessError {

@@ -31,9 +31,7 @@ mod shadows;
 mod taint_unit;
 
 pub use broadcast::BroadcastQueue;
-pub use rename_taint::{
-    RenameGroupOp, RenameTaintCheckpoint, RenameTaintOutcome, RenameTaintTracker,
-};
+pub use rename_taint::{RenameGroupOp, RenameTaintOutcome, RenameTaintTracker};
 pub use scheme::{Scheme, SchemeConfig};
 pub use shadows::{ShadowKind, SpeculationTracker, ThreatModel};
 pub use taint_unit::IssueTaintUnit;

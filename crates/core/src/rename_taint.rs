@@ -14,14 +14,16 @@
 //!
 //! Because branches may resolve out of order once they are transmitters
 //! (§4.2), the RAT taint state must be checkpointed alongside the RAT
-//! itself; [`RenameTaintCheckpoint`] models that (and is the source of
-//! STT-Rename's flip-flop overhead in Table 4). Restored entries may be
-//! stale — their root load may have become non-speculative — which the
-//! caller handles by passing a liveness predicate to
-//! [`RenameTaintTracker::restore`].
+//! itself (the source of STT-Rename's flip-flop overhead in Table 4). The
+//! simulator restores that state exactly by squash walk-back instead: each
+//! outcome records the destination's previous taint
+//! ([`RenameTaintOutcome::prev_dst_taint`]), and
+//! [`RenameTaintTracker::set_taint`] puts it back youngest-first. Restored
+//! entries may be stale — their root load may have become
+//! non-speculative — which readers handle by filtering through the
+//! liveness predicate, as [`RenameTaintTracker::rename_group`] does.
 
 use sb_isa::{ArchReg, Seq, NUM_ARCH_REGS};
-use std::fmt;
 
 /// One op of a same-cycle rename group, as seen by the taint chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,11 +48,9 @@ pub struct RenameTaintOutcome {
     /// partial-issue pathology).
     pub yrot: Option<Seq>,
     /// YRoT over the first (address) operand only, for the split-store
-    /// ablation.
+    /// ablation (a store's data operand transmits nothing, so the
+    /// ablation needs no data-side taint).
     pub addr_yrot: Option<Seq>,
-    /// YRoT over the second (data) operand only, for the split-store
-    /// ablation.
-    pub data_yrot: Option<Seq>,
     /// Serial position of this op's YRoT computation within the same-cycle
     /// dependency chain (1 = no in-group dependency). The maximum over a
     /// group is the chain length that must fit in one cycle.
@@ -59,20 +59,6 @@ pub struct RenameTaintOutcome {
     /// (recorded so a squash walk-back can restore RAT taint state exactly,
     /// the simulator-side equivalent of restoring a YRoT checkpoint).
     pub prev_dst_taint: Option<Seq>,
-}
-
-/// A snapshot of the RAT taint extension, taken when a branch is renamed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RenameTaintCheckpoint {
-    taints: Vec<Option<Seq>>,
-}
-
-impl RenameTaintCheckpoint {
-    /// Number of tainted entries in the snapshot (for area accounting).
-    #[must_use]
-    pub fn tainted_count(&self) -> usize {
-        self.taints.iter().filter(|t| t.is_some()).count()
-    }
 }
 
 /// The RAT taint extension: per-architectural-register YRoT state plus the
@@ -102,8 +88,6 @@ pub struct RenameTaintTracker {
     taints: Vec<Option<Seq>>,
     /// Longest same-cycle chain observed (timing-model input).
     max_chain_depth: u32,
-    /// Total YRoT comparisons performed (power-proxy input).
-    comparisons: u64,
 }
 
 impl Default for RenameTaintTracker {
@@ -119,7 +103,6 @@ impl RenameTaintTracker {
         RenameTaintTracker {
             taints: vec![None; NUM_ARCH_REGS],
             max_chain_depth: 0,
-            comparisons: 0,
         }
     }
 
@@ -155,7 +138,6 @@ impl RenameTaintTracker {
             let mut src_depth = [0u32, 0u32];
             for (i, src) in op.srcs.iter().enumerate() {
                 if let Some(r) = src {
-                    self.comparisons += 1;
                     let t = self.taints[r.index()].filter(|&root| live(root));
                     src_yrot[i] = t;
                     if t.is_some() {
@@ -183,28 +165,9 @@ impl RenameTaintTracker {
             out.push(RenameTaintOutcome {
                 yrot,
                 addr_yrot: src_yrot[0],
-                data_yrot: src_yrot[1],
                 chain_depth,
                 prev_dst_taint,
             });
-        }
-    }
-
-    /// Snapshots the taint state (taken together with the RAT checkpoint
-    /// when a branch is renamed, §4.2).
-    #[must_use]
-    pub fn checkpoint(&self) -> RenameTaintCheckpoint {
-        RenameTaintCheckpoint {
-            taints: self.taints.clone(),
-        }
-    }
-
-    /// Restores a checkpoint after a misprediction, invalidating entries
-    /// whose root load is no longer speculative — the staleness scrub §4.2
-    /// requires.
-    pub fn restore(&mut self, cp: &RenameTaintCheckpoint, live: impl Fn(Seq) -> bool) {
-        for (slot, saved) in self.taints.iter_mut().zip(&cp.taints) {
-            *slot = saved.filter(|&root| live(root));
         }
     }
 
@@ -214,44 +177,58 @@ impl RenameTaintTracker {
         self.taints[r.index()] = taint;
     }
 
-    /// Clears every taint (used when the pipeline fully drains).
-    pub fn clear(&mut self) {
-        self.taints.fill(None);
-    }
-
     /// Longest same-cycle YRoT chain observed so far.
     #[must_use]
     pub fn max_chain_depth(&self) -> u32 {
         self.max_chain_depth
-    }
-
-    /// Total YRoT source comparisons performed (power proxy).
-    #[must_use]
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Number of currently tainted architectural registers.
-    #[must_use]
-    pub fn tainted_count(&self) -> usize {
-        self.taints.iter().filter(|t| t.is_some()).count()
-    }
-}
-
-impl fmt::Display for RenameTaintTracker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} tainted regs, max chain {}",
-            self.tainted_count(),
-            self.max_chain_depth
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot of the RAT taint extension, taken when a branch is
+    /// renamed: the checkpoint §4.2 describes, modelled here to pin the
+    /// staleness scrub a restore must apply.
+    struct RenameTaintCheckpoint {
+        taints: Vec<Option<Seq>>,
+    }
+
+    impl RenameTaintCheckpoint {
+        fn tainted_count(&self) -> usize {
+            self.taints.iter().filter(|t| t.is_some()).count()
+        }
+    }
+
+    impl RenameTaintTracker {
+        /// Snapshots the taint state (taken together with the RAT checkpoint
+        /// when a branch is renamed, §4.2).
+        fn checkpoint(&self) -> RenameTaintCheckpoint {
+            RenameTaintCheckpoint {
+                taints: self.taints.clone(),
+            }
+        }
+
+        /// Restores a checkpoint after a misprediction, invalidating entries
+        /// whose root load is no longer speculative — the staleness scrub §4.2
+        /// requires.
+        fn restore(&mut self, cp: &RenameTaintCheckpoint, live: impl Fn(Seq) -> bool) {
+            for (slot, saved) in self.taints.iter_mut().zip(&cp.taints) {
+                *slot = saved.filter(|&root| live(root));
+            }
+        }
+
+        /// Clears every taint (used when the pipeline fully drains).
+        fn clear(&mut self) {
+            self.taints.fill(None);
+        }
+
+        /// Number of currently tainted architectural registers.
+        fn tainted_count(&self) -> usize {
+            self.taints.iter().filter(|t| t.is_some()).count()
+        }
+    }
 
     fn op(
         seq: u64,
@@ -402,7 +379,6 @@ mod tests {
             &mut out,
         );
         assert_eq!(out[0].addr_yrot, None, "address operand is clean");
-        assert_eq!(out[0].data_yrot, Some(Seq::new(1)));
         assert_eq!(out[0].yrot, Some(Seq::new(1)), "unified taint blocks both");
     }
 
@@ -442,18 +418,6 @@ mod tests {
         );
         t.clear();
         assert_eq!(t.tainted_count(), 0);
-    }
-
-    #[test]
-    fn comparisons_are_counted() {
-        let mut t = RenameTaintTracker::new();
-        let mut out = Vec::new();
-        t.rename_group(
-            &[op(1, [Some(x(2)), Some(x(3))], Some(x(1)), false)],
-            |_| true,
-            &mut out,
-        );
-        assert_eq!(t.comparisons(), 2);
     }
 
     #[test]

@@ -108,7 +108,6 @@ impl std::str::FromStr for ThreatModel {
 #[derive(Clone, Copy, Debug)]
 struct Shadow {
     seq: Seq,
-    kind: ShadowKind,
     resolved: bool,
 }
 
@@ -128,7 +127,7 @@ struct Shadow {
 /// use sb_isa::Seq;
 ///
 /// let mut t = SpeculationTracker::new();
-/// t.cast(Seq::new(5), ShadowKind::Control);
+/// t.cast(Seq::new(5));
 /// assert!(t.is_speculative(Seq::new(6)));
 /// assert!(!t.is_speculative(Seq::new(5)), "a shadow does not cover itself");
 /// t.resolve(Seq::new(5));
@@ -170,13 +169,12 @@ impl SpeculationTracker {
     ///
     /// Panics if `seq` is not younger than every tracked shadow — shadows
     /// must be cast in program order.
-    pub fn cast(&mut self, seq: Seq, kind: ShadowKind) -> u64 {
+    pub fn cast(&mut self, seq: Seq) -> u64 {
         if let Some(last) = self.shadows.back() {
             assert!(seq > last.seq, "shadows must be cast in program order");
         }
         self.shadows.push_back(Shadow {
             seq,
-            kind,
             resolved: false,
         });
         self.front_token + self.shadows.len() as u64 - 1
@@ -252,21 +250,6 @@ impl SpeculationTracker {
     pub fn is_empty(&self) -> bool {
         self.shadows.is_empty()
     }
-
-    /// Kind of the oldest unresolved shadow, if any (for stall attribution).
-    #[must_use]
-    pub fn frontier_kind(&self) -> Option<ShadowKind> {
-        self.shadows.front().map(|s| s.kind)
-    }
-}
-
-impl fmt::Display for SpeculationTracker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.frontier() {
-            Some(s) => write!(f, "{} shadows, frontier {}", self.shadows.len(), s),
-            None => write!(f, "no shadows"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +272,7 @@ mod tests {
     #[test]
     fn shadow_covers_younger_only() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
+        t.cast(s(10));
         assert!(!t.is_speculative(s(9)));
         assert!(!t.is_speculative(s(10)));
         assert!(t.is_speculative(s(11)));
@@ -298,8 +281,8 @@ mod tests {
     #[test]
     fn shadows_resolve_in_order() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
-        t.cast(s(20), ShadowKind::Data);
+        t.cast(s(10));
+        t.cast(s(20));
         t.resolve(s(20));
         // Younger shadow resolved, older still pending: frontier unchanged.
         assert_eq!(t.frontier(), Some(s(10)));
@@ -313,7 +296,7 @@ mod tests {
     #[test]
     fn resolve_unknown_seq_is_noop() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
+        t.cast(s(10));
         t.resolve(s(99));
         assert_eq!(t.frontier(), Some(s(10)));
     }
@@ -321,9 +304,9 @@ mod tests {
     #[test]
     fn squash_removes_younger_shadows() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
-        t.cast(s(20), ShadowKind::Data);
-        t.cast(s(30), ShadowKind::Control);
+        t.cast(s(10));
+        t.cast(s(20));
+        t.cast(s(30));
         t.squash_younger(s(15));
         assert_eq!(t.len(), 1);
         assert_eq!(t.frontier(), Some(s(10)));
@@ -335,8 +318,8 @@ mod tests {
     #[test]
     fn squash_after_resolution_retires_prefix() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
-        t.cast(s(20), ShadowKind::Control);
+        t.cast(s(10));
+        t.cast(s(20));
         t.resolve(s(10)); // retires 10, frontier now 20
         assert_eq!(t.frontier(), Some(s(20)));
         t.squash_younger(s(15)); // removes 20
@@ -346,7 +329,7 @@ mod tests {
     #[test]
     fn taint_liveness_follows_frontier() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
+        t.cast(s(10));
         // A load at seq 12 under the branch's shadow roots a taint.
         assert!(t.taint_live(s(12)));
         t.resolve(s(10));
@@ -355,19 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn frontier_kind_reports_stall_cause() {
-        let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Data);
-        t.cast(s(20), ShadowKind::Control);
-        assert_eq!(t.frontier_kind(), Some(ShadowKind::Data));
-    }
-
-    #[test]
     #[should_panic(expected = "program order")]
     fn out_of_order_cast_rejected() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(10), ShadowKind::Control);
-        t.cast(s(5), ShadowKind::Control);
+        t.cast(s(10));
+        t.cast(s(5));
     }
 
     #[test]
@@ -404,18 +379,10 @@ mod tests {
     #[test]
     fn memory_shadows_behave_like_other_shadows() {
         let mut t = SpeculationTracker::new();
-        t.cast(s(5), ShadowKind::Memory);
-        t.cast(s(7), ShadowKind::Exception);
+        t.cast(s(5));
+        t.cast(s(7));
         assert!(t.is_speculative(s(6)));
         t.resolve(s(5));
         assert_eq!(t.frontier(), Some(s(7)));
-    }
-
-    #[test]
-    fn display_mentions_frontier() {
-        let mut t = SpeculationTracker::new();
-        assert_eq!(format!("{t}"), "no shadows");
-        t.cast(s(3), ShadowKind::Control);
-        assert!(format!("{t}").contains("#3"));
     }
 }

@@ -13,7 +13,6 @@
 //! the invariant is explicit rather than implicit.
 
 use sb_isa::{PhysReg, Seq};
-use std::fmt;
 
 /// The issue-stage taint unit: YRoT state for every physical register.
 ///
@@ -32,7 +31,6 @@ use std::fmt;
 #[derive(Clone, Debug)]
 pub struct IssueTaintUnit {
     taints: Vec<Option<Seq>>,
-    comparisons: u64,
 }
 
 impl IssueTaintUnit {
@@ -46,16 +44,7 @@ impl IssueTaintUnit {
         assert!(num_phys_regs > 0, "need at least one physical register");
         IssueTaintUnit {
             taints: vec![None; num_phys_regs],
-            comparisons: 0,
         }
-    }
-
-    /// Number of physical registers covered (area-model input: STT-Issue's
-    /// taint storage scales with the PRF, an order of magnitude larger than
-    /// the architectural file, §4.3).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.taints.len()
     }
 
     /// Computes the YRoT of an instruction about to issue: the youngest
@@ -70,7 +59,6 @@ impl IssueTaintUnit {
     ) -> Option<Seq> {
         let mut yrot: Option<Seq> = None;
         for src in srcs.into_iter().flatten() {
-            self.comparisons += 1;
             if let Some(root) = self.taints[src.index()].filter(|&r| live(r)) {
                 yrot = Some(yrot.map_or(root, |y: Seq| y.max(root)));
             }
@@ -94,45 +82,28 @@ impl IssueTaintUnit {
     pub fn clean(&mut self, dst: PhysReg) {
         self.taints[dst.index()] = None;
     }
-
-    /// Current taint of `p` (unfiltered; callers apply liveness).
-    #[must_use]
-    pub fn taint_of(&self, p: PhysReg) -> Option<Seq> {
-        self.taints[p.index()]
-    }
-
-    /// Number of tainted entries (live or stale).
-    #[must_use]
-    pub fn tainted_count(&self) -> usize {
-        self.taints.iter().filter(|t| t.is_some()).count()
-    }
-
-    /// Total comparator activations (power proxy).
-    #[must_use]
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Clears all taints (pipeline drain).
-    pub fn clear(&mut self) {
-        self.taints.fill(None);
-    }
-}
-
-impl fmt::Display for IssueTaintUnit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "taint unit: {}/{} tainted",
-            self.tainted_count(),
-            self.taints.len()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IssueTaintUnit {
+        /// Current taint of `p` (unfiltered; callers apply liveness).
+        fn taint_of(&self, p: PhysReg) -> Option<Seq> {
+            self.taints[p.index()]
+        }
+
+        /// Number of tainted entries (live or stale).
+        fn tainted_count(&self) -> usize {
+            self.taints.iter().filter(|t| t.is_some()).count()
+        }
+
+        /// Clears all taints (pipeline drain).
+        fn clear(&mut self) {
+            self.taints.fill(None);
+        }
+    }
 
     fn p(n: u16) -> PhysReg {
         PhysReg::new(n)
@@ -193,23 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_count_operand_lookups() {
-        let mut u = IssueTaintUnit::new(4);
-        u.compute_yrot([Some(p(0)), Some(p(1))], |_| true);
-        u.compute_yrot([Some(p(0)), None], |_| true);
-        assert_eq!(u.comparisons(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one")]
     fn zero_capacity_rejected() {
         let _ = IssueTaintUnit::new(0);
-    }
-
-    #[test]
-    fn display_shows_occupancy() {
-        let mut u = IssueTaintUnit::new(4);
-        u.taint(p(0), s(1));
-        assert!(format!("{u}").contains("1/4"));
     }
 }

@@ -31,45 +31,45 @@ use std::fmt::Write as _;
 
 /// The static verdict for one `(threat model, scenario, scheme)` cell.
 #[derive(Clone, Debug)]
-pub struct StaticCell {
+pub(crate) struct StaticCell {
     /// Kernel name (`spectre-v1`, `ssb`, ...).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Scheme under analysis.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Threat model the cell was analyzed under.
-    pub threat_model: ThreatModel,
+    pub(crate) threat_model: ThreatModel,
     /// Whether `threat_model`'s protection claim covers the scenario.
-    pub claimed: bool,
+    pub(crate) claimed: bool,
     /// The static `must ⊆ dynamic ⊆ may` bracket.
-    pub bounds: StaticLeaks,
+    pub(crate) bounds: StaticLeaks,
     /// Whether the claims audit reproduced this kernel's constants.
-    pub claims_verified: bool,
+    pub(crate) claims_verified: bool,
     /// Whether the cell satisfies the (static) security property.
-    pub pass: bool,
+    pub(crate) pass: bool,
     /// Human-readable failure explanations (empty when `pass`).
-    pub failures: Vec<String>,
+    pub(crate) failures: Vec<String>,
 }
 
 /// The full static matrix plus the battery-wide claims audit.
 #[derive(Clone, Debug)]
 pub struct StaticVerdict {
     /// One cell per point, threat-model-major then battery-major.
-    pub cells: Vec<StaticCell>,
+    pub(crate) cells: Vec<StaticCell>,
     /// Claim constants the audit could not reproduce (empty = verified).
-    pub drifts: Vec<ClaimDrift>,
+    pub(crate) drifts: Vec<ClaimDrift>,
     /// Whether every cell passes and the audit found no drift.
     pub ok: bool,
 }
 
 /// Statically analyzes the standard battery (the same kernels and secret
 /// `verify-security` simulates) under the requested threat models.
-#[must_use]
-pub fn analyze_security(threat_models: &[ThreatModel]) -> StaticVerdict {
+#[cfg(test)]
+fn analyze_security(threat_models: &[ThreatModel]) -> StaticVerdict {
     analyze_battery(&attack_battery(BATTERY_SECRET), threat_models)
 }
 
 /// Statically analyzes an arbitrary battery: every `(model, kernel,
-/// scheme)` point gets a [`StaticCell`], and the whole battery one claims
+/// scheme)` point gets a `StaticCell`, and the whole battery one claims
 /// audit.
 #[must_use]
 pub fn analyze_battery(battery: &[AttackKernel], threat_models: &[ThreatModel]) -> StaticVerdict {

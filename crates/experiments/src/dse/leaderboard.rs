@@ -27,31 +27,31 @@ pub struct LeaderRow {
     /// Configuration name (derived sweep name or preset).
     pub config: String,
     /// Scheme.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Threat model.
-    pub threat: ThreatModel,
+    pub(crate) threat: ThreatModel,
     /// Point fingerprint (manifest row identity, bootstrap seed).
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// Complete replicates the interval is built from.
-    pub replicates: usize,
+    pub(crate) replicates: usize,
     /// Suite IPC across replicates, with confidence interval.
-    pub ipc: BootstrapCi,
+    pub(crate) ipc: BootstrapCi,
     /// Mean IPC normalized to the unsafe baseline on the same
     /// configuration and threat model; `None` when that baseline is not in
     /// the sweep or produced no complete replicate.
-    pub norm_ipc: Option<f64>,
+    pub(crate) norm_ipc: Option<f64>,
     /// Analytical clock estimate (MHz).
-    pub freq_mhz: f64,
+    pub(crate) freq_mhz: f64,
     /// The ranking metric: mean IPC × frequency (relative MIPS).
-    pub perf: f64,
+    pub(crate) perf: f64,
     /// LUT proxy count.
-    pub luts: f64,
+    pub(crate) luts: f64,
     /// Flip-flop proxy count.
-    pub ffs: f64,
+    pub(crate) ffs: f64,
     /// Power relative to the unsafe baseline on the same configuration.
-    pub power: f64,
+    pub(crate) power: f64,
     /// On the (perf, LUTs, power) Pareto front among complete rows.
-    pub pareto: bool,
+    pub(crate) pareto: bool,
     /// Every replicate produced the full benchmark suite.
     pub complete: bool,
 }
@@ -60,7 +60,7 @@ impl LeaderRow {
     /// Security cost in percent (`(1 - normalized IPC) * 100`), when the
     /// baseline reference exists.
     #[must_use]
-    pub fn security_cost_pct(&self) -> Option<f64> {
+    pub(crate) fn security_cost_pct(&self) -> Option<f64> {
         self.norm_ipc.map(|n| (1.0 - n) * 100.0)
     }
 }

@@ -14,14 +14,14 @@ use crate::engine::RunSpec;
 use crate::stats_store::{combine_fp, tag_fp};
 
 /// Manifest schema version; bump on incompatible changes.
-pub const MANIFEST_FORMAT: u64 = 1;
+pub(crate) const MANIFEST_FORMAT: u64 = 1;
 
 /// Identity of a sweep run: canonical spec × trace length × base seed.
 /// Everything result-determining hashes into this (the spec's canonical
 /// string covers every axis, scheme, threat and replicate count; config
 /// fingerprints cover the knob values themselves).
 #[must_use]
-pub fn sweep_fingerprint(spec: &SweepSpec, run: &RunSpec) -> u64 {
+pub(crate) fn sweep_fingerprint(spec: &SweepSpec, run: &RunSpec) -> u64 {
     combine_fp([tag_fp(&spec.canonical()), run.ops as u64, run.seed])
 }
 

@@ -18,10 +18,8 @@ mod run;
 mod spec;
 
 pub use leaderboard::{
-    leaderboard, leaderboard_csv, leaderboard_table, LeaderRow, BOOTSTRAP_RESAMPLES, CONFIDENCE,
+    leaderboard, leaderboard_csv, leaderboard_table, BOOTSTRAP_RESAMPLES, CONFIDENCE,
 };
-pub use manifest::{
-    manifest_json, parse_manifest, sweep_fingerprint, ManifestParams, MANIFEST_FORMAT,
-};
-pub use run::{point_fingerprint, replicate_seed, run_sweep, PointResult, SweepOutcome};
-pub use spec::{Axis, SpecError, SweepPoint, SweepSpec, MAX_POINTS, MAX_REPLICATES};
+pub use manifest::{manifest_json, parse_manifest};
+pub use run::{replicate_seed, run_sweep, SweepOutcome};
+pub use spec::{Axis, SweepSpec};

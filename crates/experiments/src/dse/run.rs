@@ -32,7 +32,7 @@ pub fn replicate_seed(base: u64, r: usize) -> u64 {
 /// scheme + threat model). Also the row identity in manifests and the
 /// bootstrap seed, so leaderboard CIs are deterministic per point.
 #[must_use]
-pub fn point_fingerprint(config: &CoreConfig, scheme: Scheme, threat: ThreatModel) -> u64 {
+pub(crate) fn point_fingerprint(config: &CoreConfig, scheme: Scheme, threat: ThreatModel) -> u64 {
     combine_fp([
         config.fingerprint(),
         tag_fp(&scheme.to_string()),
@@ -46,11 +46,11 @@ pub fn point_fingerprint(config: &CoreConfig, scheme: Scheme, threat: ThreatMode
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointResult {
     /// The expanded configuration (including derived name).
-    pub config: CoreConfig,
+    pub(crate) config: CoreConfig,
     /// Active scheme.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Threat model.
-    pub threat: ThreatModel,
+    pub(crate) threat: ThreatModel,
     /// [`point_fingerprint`] of this point.
     pub fingerprint: u64,
     /// Per-replicate benchmark rows (survivors only).
@@ -60,7 +60,7 @@ pub struct PointResult {
 impl PointResult {
     /// True when every replicate produced all `benchmarks` rows.
     #[must_use]
-    pub fn complete(&self, benchmarks: usize) -> bool {
+    pub(crate) fn complete(&self, benchmarks: usize) -> bool {
         self.replicates.iter().all(|r| r.len() == benchmarks)
     }
 }
@@ -74,7 +74,7 @@ pub struct SweepOutcome {
     /// Execution report across all jobs.
     pub report: RunReport,
     /// Rows a complete replicate must have (suite size).
-    pub benchmarks: usize,
+    pub(crate) benchmarks: usize,
 }
 
 /// Runs a sweep: expands the spec, flattens `points × replicates ×
@@ -83,7 +83,7 @@ pub struct SweepOutcome {
 ///
 /// # Errors
 ///
-/// [`SpecError`] when the spec expands to invalid configurations or too
+/// `SpecError` when the spec expands to invalid configurations or too
 /// many points. Per-job failures do *not* error: they are reported in the
 /// outcome and the affected replicates simply hold fewer rows.
 pub fn run_sweep(

@@ -23,11 +23,11 @@ use std::sync::{Mutex, OnceLock};
 
 /// Hard cap on expanded `(config, scheme, threat)` points — a typo like
 /// `rob=1..4096` must fail loudly instead of scheduling a month of work.
-pub const MAX_POINTS: usize = 4096;
+pub(crate) const MAX_POINTS: usize = 4096;
 
 /// Replicate ceiling: enough for tight confidence intervals, small enough
 /// that `replicates=300` is caught as the typo it almost certainly is.
-pub const MAX_REPLICATES: usize = 32;
+pub(crate) const MAX_REPLICATES: usize = 32;
 
 /// Why a sweep specification was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -358,7 +358,7 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] on unknown/duplicate keys, malformed values, or
+    /// `SpecError` on unknown/duplicate keys, malformed values, or
     /// conflicting tokens. Point expansion is *not* validated here — call
     /// [`SweepSpec::points`] for that.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
@@ -467,8 +467,8 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError::Invalid`] for points violating core invariants;
-    /// [`SpecError::TooManyPoints`] past the cap.
+    /// `SpecError::Invalid` for points violating core invariants;
+    /// `SpecError::TooManyPoints` past the cap.
     pub fn configs(&self) -> Result<Vec<CoreConfig>, SpecError> {
         if let Some(preset) = &self.preset {
             return Ok(match preset.as_str() {
@@ -517,7 +517,7 @@ impl SweepSpec {
     }
 
     /// Expands every `(config, scheme, threat)` point, capped at
-    /// [`MAX_POINTS`].
+    /// `MAX_POINTS`.
     ///
     /// # Errors
     ///
@@ -550,18 +550,6 @@ impl SweepSpec {
     #[must_use]
     pub fn replicates(&self) -> usize {
         self.replicates
-    }
-
-    /// Schemes in the sweep, canonical order.
-    #[must_use]
-    pub fn schemes(&self) -> &[Scheme] {
-        &self.schemes
-    }
-
-    /// Threat models in the sweep, canonical order.
-    #[must_use]
-    pub fn threats(&self) -> &[ThreatModel] {
-        &self.threats
     }
 }
 

@@ -166,7 +166,7 @@ impl GridResults {
     /// so a grid built from any config set (not just the four BOOM points)
     /// reports exactly the configurations it actually contains.
     #[must_use]
-    pub fn configs(&self) -> &[String] {
+    pub(crate) fn configs(&self) -> &[String] {
         &self.configs
     }
 
@@ -202,7 +202,11 @@ impl GridResults {
     ///
     /// Propagates [`GridResults::suite`] errors for either the baseline or
     /// the scheme suite.
-    pub fn summary(&self, config: &str, scheme: Scheme) -> Result<SuiteSummary, ExperimentError> {
+    pub(crate) fn summary(
+        &self,
+        config: &str,
+        scheme: Scheme,
+    ) -> Result<SuiteSummary, ExperimentError> {
         Ok(SuiteSummary::new(
             self.suite(config, Scheme::Baseline)?.to_vec(),
             self.suite(config, scheme)?.to_vec(),
@@ -214,7 +218,7 @@ impl GridResults {
     /// # Errors
     ///
     /// Propagates [`GridResults::suite`] errors.
-    pub fn baseline_ipc(&self, config: &str) -> Result<f64, ExperimentError> {
+    pub(crate) fn baseline_ipc(&self, config: &str) -> Result<f64, ExperimentError> {
         Ok(sb_stats::suite_ipc(self.suite(config, Scheme::Baseline)?))
     }
 }
@@ -230,13 +234,13 @@ pub struct ProgressSink(Arc<dyn Fn(usize, usize) + Send + Sync>);
 
 impl ProgressSink {
     /// Wraps a callback receiving `(settled, total)`.
-    #[must_use]
-    pub fn new(f: impl Fn(usize, usize) + Send + Sync + 'static) -> Self {
+    #[cfg(test)]
+    fn new(f: impl Fn(usize, usize) + Send + Sync + 'static) -> Self {
         ProgressSink(Arc::new(f))
     }
 
     /// Reports that `settled` of `total` points have produced results.
-    pub fn report(&self, settled: usize, total: usize) {
+    pub(crate) fn report(&self, settled: usize, total: usize) {
         (self.0)(settled, total);
     }
 }
@@ -300,11 +304,13 @@ pub struct RunReport {
     pub failures: Vec<JobError>,
     /// Traces decoded (loaded or generated) this run: at most one per
     /// trace slot, none on a fully-cached resume.
-    pub traces_decoded: usize,
+    #[cfg(test)]
+    pub(crate) traces_decoded: usize,
     /// The most decoded traces resident at once during the run — about
     /// one per worker, since jobs run trace-major and each trace is
     /// dropped after its last job.
-    pub peak_resident_traces: usize,
+    #[cfg(test)]
+    pub(crate) peak_resident_traces: usize,
 }
 
 impl RunReport {
@@ -326,18 +332,18 @@ impl RunReport {
 /// one of the batch's shared traces, keyed in the stats store by that
 /// trace's seed and `fp`.
 pub(crate) struct PointJob<'a> {
-    pub config: &'a CoreConfig,
-    pub scheme: SchemeConfig,
+    pub(crate) config: &'a CoreConfig,
+    pub(crate) scheme: SchemeConfig,
     /// Index into the batch's trace slots.
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// Stats-store fingerprint of everything but `(benchmark, ops, seed)`.
-    pub fp: u64,
+    pub(crate) fp: u64,
 }
 
 /// A trace shared by every job that names it: `profile` at `seed`.
 pub(crate) struct TraceSlot<'a> {
-    pub profile: &'a WorkloadProfile,
-    pub seed: u64,
+    pub(crate) profile: &'a WorkloadProfile,
+    pub(crate) seed: u64,
 }
 
 /// The decoded traces of one batch, one cell per trace slot. A cell
@@ -349,11 +355,15 @@ struct TraceCells<'s, 'a> {
     slots: &'s [TraceSlot<'a>],
     ops: usize,
     cells: Vec<Mutex<TraceCell>>,
+    /// Test instrumentation: traces decoded, decoded traces not yet
+    /// freed, and the most there ever were. A job that panics
+    /// mid-simulation skips its release, leaving the count high, never
+    /// low.
+    #[cfg(test)]
     decoded: AtomicUsize,
-    /// Decoded traces not yet freed, and the most there ever were. A job
-    /// that panics mid-simulation skips its release, leaving the count
-    /// high, never low.
+    #[cfg(test)]
     resident: AtomicUsize,
+    #[cfg(test)]
     peak: AtomicUsize,
 }
 
@@ -381,8 +391,11 @@ impl<'s, 'a> TraceCells<'s, 'a> {
                     })
                 })
                 .collect(),
+            #[cfg(test)]
             decoded: AtomicUsize::new(0),
+            #[cfg(test)]
             resident: AtomicUsize::new(0),
+            #[cfg(test)]
             peak: AtomicUsize::new(0),
         }
     }
@@ -403,9 +416,12 @@ impl<'s, 'a> TraceCells<'s, 'a> {
             Arc::clone(cell.trace.get_or_insert_with(|| {
                 let TraceSlot { profile, seed } = self.slots[slot];
                 let trace = Arc::new(cached_generate(profile, self.ops, seed));
-                self.decoded.fetch_add(1, Ordering::Relaxed);
-                let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
-                self.peak.fetch_max(now, Ordering::Relaxed);
+                #[cfg(test)]
+                {
+                    self.decoded.fetch_add(1, Ordering::Relaxed);
+                    let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.peak.fetch_max(now, Ordering::Relaxed);
+                }
                 trace
             }))
         });
@@ -415,14 +431,17 @@ impl<'s, 'a> TraceCells<'s, 'a> {
         trace
     }
 
-    /// Drops one reference to a decoded trace, counting the trace out
-    /// (before freeing it, so the count never runs ahead of memory) if it
-    /// was the last.
+    /// Drops one reference to a decoded trace; under test, counts the
+    /// trace out (before freeing it, so the count never runs ahead of
+    /// memory) if it was the last.
     fn release(&self, trace: Option<Arc<Trace>>) {
+        #[cfg(test)]
         if let Some(last) = trace.and_then(Arc::into_inner) {
             self.resident.fetch_sub(1, Ordering::Relaxed);
             drop(last);
         }
+        #[cfg(not(test))]
+        drop(trace);
     }
 }
 
@@ -502,7 +521,9 @@ pub(crate) fn run_points(
         from_cache: from_cache.into_inner(),
         total: batch.len(),
         failures: report.failures,
+        #[cfg(test)]
         traces_decoded: traces.decoded.into_inner(),
+        #[cfg(test)]
         peak_resident_traces: traces.peak.into_inner(),
     };
     (report.results, run_report)
@@ -673,8 +694,8 @@ fn report_batch<'a>(
 ///
 /// Panics if any grid job fails — callers that need partial results and a
 /// failure report use [`run_grid_with`].
-#[must_use]
-pub fn run_grid(configs: &[CoreConfig], spec: &RunSpec) -> GridResults {
+#[cfg(test)]
+pub(crate) fn run_grid(configs: &[CoreConfig], spec: &RunSpec) -> GridResults {
     let (grid, report) = run_grid_with(configs, spec, &RunOptions::default());
     assert!(
         report.ok(),

@@ -68,7 +68,7 @@ impl FaultPlan {
 
     /// True when the plan names no faults.
     #[must_use]
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.panics.is_empty() && self.overruns.is_empty() && self.corrupt_stats.is_empty()
     }
 
@@ -80,7 +80,7 @@ impl FaultPlan {
 
     /// Should job `index` stall past its soft deadline?
     #[must_use]
-    pub fn overruns_at(&self, index: usize) -> bool {
+    pub(crate) fn overruns_at(&self, index: usize) -> bool {
         self.overruns.contains(&index)
     }
 
@@ -115,7 +115,7 @@ pub(crate) fn stall_past(deadline: Option<Instant>) {
 /// # Errors
 ///
 /// Propagates I/O errors from reading or rewriting the file.
-pub fn corrupt_file(path: &Path) -> std::io::Result<()> {
+pub(crate) fn corrupt_file(path: &Path) -> std::io::Result<()> {
     let mut bytes = std::fs::read(path)?;
     match bytes.last_mut() {
         Some(b) => *b ^= 0xFF,

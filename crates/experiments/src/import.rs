@@ -14,7 +14,7 @@
 //! a differential check riding along with every import.
 
 use sb_core::{Scheme, SchemeConfig};
-use sb_isa::{decode_trace, encode_trace, Trace};
+use sb_isa::{decode_trace, Trace};
 use sb_stats::SimStats;
 use sb_uarch::{Core, CoreConfig, SchedulerKind};
 use std::path::Path;
@@ -23,21 +23,10 @@ use std::path::Path;
 /// a trace that fails to finish is reported, not looped forever).
 const MAX_CYCLES: u64 = 100_000_000;
 
-/// Reads and decodes an SBTR trace file.
-///
-/// # Errors
-///
-/// Returns a human-readable message when the file cannot be read or the
-/// bytes fail any codec check (magic, version, checksum, structure).
-pub fn import_trace(path: &Path) -> Result<Trace, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    decode_trace(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-}
-
 /// The on-disk format version of an encoded trace (bytes 4..8 of the
 /// header), for reporting. `None` if the buffer is too short.
 #[must_use]
-pub fn encoded_version(bytes: &[u8]) -> Option<u32> {
+pub(crate) fn encoded_version(bytes: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?))
 }
 
@@ -47,7 +36,7 @@ pub fn encoded_version(bytes: &[u8]) -> Option<u32> {
 ///
 /// Returns a message naming the trace if it does not finish within the
 /// cycle budget.
-pub fn run_imported(
+pub(crate) fn run_imported(
     trace: &Trace,
     scheme: Scheme,
     scheduler: SchedulerKind,
@@ -100,46 +89,45 @@ pub fn import_report(path: &Path, scheme: Scheme) -> Result<String, String> {
     ))
 }
 
-/// The canonical import sample: a small mixed trace — committed loads and
-/// stores, a trained loop branch with pc/target (forcing SBTR v2), and a
-/// mispredicted branch with a wrong-path block — checked into
-/// `assets/sample-trace.sbtr` and round-tripped by CI.
-#[must_use]
-pub fn sample_import_trace() -> Trace {
-    use sb_isa::{ArchReg, MicroOp, OpClass, TraceBuilder};
-    let x = ArchReg::int;
-    let mut b = TraceBuilder::new("sample-import");
-    // A short loop body: load, accumulate, taken backward branch.
-    for i in 0..4u64 {
-        b.load(x(1), x(28), 0x1000_0000 + i * 64, 8);
-        b.alu(x(2), Some(x(1)), Some(x(2)));
-        b.branch_at(None, None, true, false, 0x400, 0x380);
-    }
-    // A store and a slow-resolving operand feeding a mispredicted branch.
-    b.store(x(28), x(2), 0x1100_0000, 8);
-    b.load(x(9), x(28), 0x1200_0000, 8);
-    b.push(MicroOp::compute(OpClass::IntDiv, x(9), Some(x(9)), None));
-    let br = b.branch_at(Some(x(9)), None, true, true, 0x440, 0x500);
-    b.wrong_path(
-        br,
-        vec![
-            MicroOp::load(x(3), x(2), 0x1300_0000, 8),
-            MicroOp::alu(x(4), Some(x(3)), None),
-        ],
-    );
-    b.alu(x(5), None, None);
-    b.build()
-}
-
-/// The exact bytes `assets/sample-trace.sbtr` must contain.
-#[must_use]
-pub fn sample_import_bytes() -> Vec<u8> {
-    encode_trace(&sample_import_trace())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_isa::encode_trace;
+
+    /// The canonical import sample: a small mixed trace — committed loads and
+    /// stores, a trained loop branch with pc/target (forcing SBTR v2), and a
+    /// mispredicted branch with a wrong-path block — checked into
+    /// `assets/sample-trace.sbtr` and round-tripped by CI.
+    fn sample_import_trace() -> Trace {
+        use sb_isa::{ArchReg, MicroOp, OpClass, TraceBuilder};
+        let x = ArchReg::int;
+        let mut b = TraceBuilder::new("sample-import");
+        // A short loop body: load, accumulate, taken backward branch.
+        for i in 0..4u64 {
+            b.load(x(1), x(28), 0x1000_0000 + i * 64, 8);
+            b.alu(x(2), Some(x(1)), Some(x(2)));
+            b.branch_at(None, None, true, false, 0x400, 0x380);
+        }
+        // A store and a slow-resolving operand feeding a mispredicted branch.
+        b.store(x(28), x(2), 0x1100_0000, 8);
+        b.load(x(9), x(28), 0x1200_0000, 8);
+        b.push(MicroOp::compute(OpClass::IntDiv, x(9), Some(x(9)), None));
+        let br = b.branch_at(Some(x(9)), None, true, true, 0x440, 0x500);
+        b.wrong_path(
+            br,
+            vec![
+                MicroOp::load(x(3), x(2), 0x1300_0000, 8),
+                MicroOp::alu(x(4), Some(x(3)), None),
+            ],
+        );
+        b.alu(x(5), None, None);
+        b.build()
+    }
+
+    /// The exact bytes `assets/sample-trace.sbtr` must contain.
+    fn sample_import_bytes() -> Vec<u8> {
+        encode_trace(&sample_import_trace())
+    }
 
     #[test]
     fn sample_trace_needs_format_v2() {
@@ -160,7 +148,7 @@ mod tests {
         let path = dir.join("sample.sbtr");
         std::fs::write(&path, &bytes).unwrap();
 
-        let imported = import_trace(&path).unwrap();
+        let imported = decode_trace(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(imported, trace, "decode(encode(t)) == t");
         for scheme in Scheme::all() {
             let twin = run_imported(&trace, scheme, SchedulerKind::EventWheel).unwrap();
@@ -204,13 +192,14 @@ mod tests {
 
     #[test]
     fn import_rejects_garbage_and_missing_files() {
-        let err = import_trace(Path::new("/nonexistent/sample.sbtr")).unwrap_err();
+        let err =
+            import_report(Path::new("/nonexistent/sample.sbtr"), Scheme::Baseline).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
         let dir = std::env::temp_dir().join(format!("sb-import-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.sbtr");
         std::fs::write(&path, b"not a trace at all").unwrap();
-        let err = import_trace(&path).unwrap_err();
+        let err = import_report(&path, Scheme::Baseline).unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

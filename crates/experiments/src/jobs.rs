@@ -9,7 +9,7 @@
 //! simulation, a failed store write — costs exactly that point; every
 //! surviving result is kept and every failure is named.
 //!
-//! Deterministic fault injection ([`crate::faults`]) hooks in here so the
+//! Deterministic fault injection (`crate::faults`) hooks in here so the
 //! whole degradation path is testable end-to-end.
 
 use crate::faults::{self, FaultPlan};
@@ -57,7 +57,7 @@ pub struct JobError {
     /// The job's index in the batch.
     pub index: usize,
     /// The caller-supplied label (e.g. `mega/STT-Issue/505.mcf`).
-    pub label: String,
+    pub(crate) label: String,
     /// Why it failed.
     pub cause: JobFailure,
 }
@@ -139,7 +139,7 @@ impl<T> BatchReport<T> {
     }
 
     /// Renders the per-job failure report (empty string when all jobs
-    /// succeeded); see [`render_failures`].
+    /// succeeded); see `render_failures`.
     #[must_use]
     pub fn render_failures(&self) -> String {
         render_failures(&self.failures, self.results.len())
@@ -155,7 +155,7 @@ impl<T> BatchReport<T> {
 ///   #23 small/NDA/520.omnetpp: exceeded its per-job soft deadline
 /// ```
 #[must_use]
-pub fn render_failures(failures: &[JobError], total: usize) -> String {
+pub(crate) fn render_failures(failures: &[JobError], total: usize) -> String {
     if failures.is_empty() {
         return String::new();
     }

@@ -628,7 +628,7 @@ fn times_nda(errs: u64, nda_errors: u64) -> String {
 }
 
 /// §7's security check: the Spectre v1 and SSB cells of the attack-battery
-/// judge ([`verify_security`]) under the Spectre threat model, one row per
+/// judge (`verify_security`) under the Spectre threat model, one row per
 /// scheme. `Recovered` is the probe slot the event-wheel run leaked when it
 /// leaked exactly one (`None` otherwise); a row leaked when that slot is
 /// the battery's secret.

@@ -26,22 +26,22 @@
 //!   produce identical measurements (the security property must not depend
 //!   on which scheduler simulated it).
 //!
-//! Any violated assertion turns into a failed [`ScenarioVerdict`] and a
+//! Any violated assertion turns into a failed `ScenarioVerdict` and a
 //! nonzero exit from `sb-experiments verify-security` — the CI tripwire
 //! that a taint-propagation regression cannot ship silently.
 //!
 //! The battery runs on the panic-isolated job pool ([`crate::jobs`]): a
 //! cell that panics, overruns its deadline, or is cancelled by the run
-//! budget becomes a [`JobError`] in [`SecurityVerdict::job_failures`]
+//! budget becomes a [`JobError`] in `SecurityVerdict::job_failures`
 //! instead of taking down the whole verification, and the matrix report
 //! renders the surviving cells plus the failures.
 //!
 //! Every cell is additionally cross-checked against the *static* analyzer
 //! ([`sb_analysis`]): the dynamic leak set of each scheduler must sit
 //! inside the statically computed bracket, `must ⊆ dynamic ⊆ may`, and a
-//! broken containment becomes a typed [`sb_analysis::SoundnessError`] in
+//! broken containment becomes a typed `sb_analysis::SoundnessError` in
 //! the cell's failures. The kernel's claim constants are audited against
-//! the analyzer too ([`ScenarioVerdict::claims_verified`]), and the CSV's
+//! the analyzer too (`ScenarioVerdict::claims_verified`), and the CSV's
 //! `claims_source` column records whether each row was judged against
 //! statically verified claims or hand-written ones.
 
@@ -76,46 +76,46 @@ pub fn battery_scheme_config(scheme: Scheme, threat_model: ThreatModel) -> Schem
 /// The leak measurement for one `(threat model, scenario, scheme,
 /// scheduler)` run.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LeakMeasurement {
+pub(crate) struct LeakMeasurement {
     /// Probe-channel slots changed by squashed instructions, decoded
     /// through the kernel's channel medium (cache state or MSHR
     /// occupancy).
-    pub slots: BTreeSet<usize>,
+    pub(crate) slots: BTreeSet<usize>,
     /// Total transient cache-state changes (any address).
-    pub transient_changes: usize,
+    pub(crate) transient_changes: usize,
     /// Memory-port slots consumed by squashed instructions (pure
     /// contention pressure; nonzero whenever a transient memory op
     /// issued).
-    pub transient_port_uses: usize,
+    pub(crate) transient_port_uses: usize,
 }
 
 /// The verdict for one `(threat model, scenario, scheme)` cell.
 #[derive(Clone, Debug)]
-pub struct ScenarioVerdict {
+pub(crate) struct ScenarioVerdict {
     /// Kernel name (`spectre-v1`, `ssb`, ...).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Scheme under test.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Threat model the core ran (and was judged) under.
-    pub threat_model: ThreatModel,
+    pub(crate) threat_model: ThreatModel,
     /// Whether `threat_model`'s protection claim covers the scenario.
-    pub claimed: bool,
+    pub(crate) claimed: bool,
     /// Measurement under the (default) event-wheel scheduler.
-    pub wheel: LeakMeasurement,
+    pub(crate) wheel: LeakMeasurement,
     /// Measurement under the reference scheduler.
-    pub reference: LeakMeasurement,
+    pub(crate) reference: LeakMeasurement,
     /// Whether both schedulers agreed on the full measurement.
-    pub scheduler_independent: bool,
+    pub(crate) scheduler_independent: bool,
     /// Whether the static claims audit reproduced this kernel's
     /// hand-written `expected_slots`/`allowed_slots`/`min_model` exactly —
     /// `true` means the row was judged against statically *verified*
     /// claims (`claims_source = static` in the CSV), `false` that the
     /// constants are trusted hand-written inputs.
-    pub claims_verified: bool,
+    pub(crate) claims_verified: bool,
     /// Whether the cell satisfies the security property.
-    pub pass: bool,
+    pub(crate) pass: bool,
     /// Human-readable failure explanations (empty when `pass`).
-    pub failures: Vec<String>,
+    pub(crate) failures: Vec<String>,
 }
 
 /// The full threat-model × battery × scheme matrix plus the overall
@@ -125,10 +125,10 @@ pub struct SecurityVerdict {
     /// One verdict per surviving cell, threat-model-major then
     /// battery-major. Cells whose job failed are absent here and listed
     /// in [`SecurityVerdict::job_failures`] instead.
-    pub cells: Vec<ScenarioVerdict>,
+    pub(crate) cells: Vec<ScenarioVerdict>,
     /// Cells that never produced a verdict: panicked, deadline-exceeded,
     /// or cancelled jobs, labelled `model/scenario/scheme`.
-    pub job_failures: Vec<JobError>,
+    pub(crate) job_failures: Vec<JobError>,
     /// Whether every cell ran to a verdict and every verdict passed.
     pub ok: bool,
 }
@@ -286,15 +286,15 @@ fn judge_in(
 /// judges every cell, with the default job policy (no deadlines, no
 /// budget, no fault injection).
 #[must_use]
-pub fn verify_security(threat_models: &[ThreatModel]) -> SecurityVerdict {
+pub(crate) fn verify_security(threat_models: &[ThreatModel]) -> SecurityVerdict {
     verify_security_with(threat_models, &JobPolicy::default())
 }
 
 /// Runs the battery on the fault-tolerant job pool: each cell is one job
 /// (labelled `model/scenario/scheme`), panic-isolated and subject to the
 /// policy's deadlines, budget and fault plan. Failed cells are
-/// dropped from [`SecurityVerdict::cells`] and reported in
-/// [`SecurityVerdict::job_failures`]; `ok` requires both a clean run and
+/// dropped from `SecurityVerdict::cells` and reported in
+/// `SecurityVerdict::job_failures`; `ok` requires both a clean run and
 /// all-pass verdicts.
 #[must_use]
 pub fn verify_security_with(threat_models: &[ThreatModel], policy: &JobPolicy) -> SecurityVerdict {

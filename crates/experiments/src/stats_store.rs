@@ -16,7 +16,7 @@
 //! `SBST`, format version, benchmark name, field count, the counters as
 //! little-endian `u64`s, FNV-1a checksum over everything preceding it).
 //! Adding or reordering `SimStats` fields requires bumping
-//! [`STATS_FORMAT_VERSION`]; the field-count word turns a missed bump into
+//! `STATS_FORMAT_VERSION`; the field-count word turns a missed bump into
 //! a clean miss instead of misattributed counters.
 
 use sb_isa::fnv;
@@ -30,7 +30,7 @@ use sb_workloads::{BlobStore, Codec};
 pub const STATS_CACHE_ENV: &str = "SB_STATS_CACHE";
 
 /// Bump whenever the entry layout (or the meaning of a field) changes.
-pub const STATS_FORMAT_VERSION: u32 = 1;
+pub(crate) const STATS_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 4] = b"SBST";
 

@@ -59,10 +59,10 @@ pub const TRACE_FORMAT_VERSION: u32 = 2;
 /// The original 14-byte-record format, still emitted whenever a trace
 /// carries no branch pc/target info (keeps legacy traces byte-stable) and
 /// still accepted on decode.
-pub const TRACE_FORMAT_V1: u32 = 1;
+pub(crate) const TRACE_FORMAT_V1: u32 = 1;
 
 /// File magic identifying a serialized trace.
-pub const TRACE_MAGIC: [u8; 4] = *b"SBTR";
+pub(crate) const TRACE_MAGIC: [u8; 4] = *b"SBTR";
 
 /// Why a byte buffer failed to decode into a [`Trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -330,7 +330,7 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on any deviation from the format — the caller
+/// Returns a `CodecError` on any deviation from the format — the caller
 /// (the trace store) treats every error as a cache miss.
 pub fn decode_trace(bytes: &[u8]) -> Result<Trace, CodecError> {
     let mut r = Reader { buf: bytes, pos: 0 };

@@ -9,7 +9,7 @@
 pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit prime.
-pub const PRIME: u64 = 0x100_0000_01b3;
+pub(crate) const PRIME: u64 = 0x100_0000_01b3;
 
 /// One xor-then-multiply fold step.
 #[inline]

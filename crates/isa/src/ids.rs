@@ -156,12 +156,6 @@ impl Seq {
     pub fn value(self) -> u64 {
         self.0
     }
-
-    /// The next sequence number in program order.
-    #[must_use]
-    pub fn next(self) -> Seq {
-        Seq(self.0 + 1)
-    }
 }
 
 impl fmt::Debug for Seq {
@@ -217,8 +211,8 @@ mod tests {
     #[test]
     fn seq_ordering_is_program_order() {
         let a = Seq::new(10);
-        assert!(a < a.next());
-        assert_eq!(a.next().value(), 11);
+        assert!(a < Seq::new(11));
+        assert_eq!(a.value(), 10);
         assert!(Seq::ZERO < a);
     }
 

@@ -36,8 +36,8 @@ mod ids;
 mod op;
 mod trace;
 
-pub use codec::{decode_trace, encode_trace, CodecError, TRACE_FORMAT_VERSION, TRACE_MAGIC};
+pub use codec::{decode_trace, encode_trace, TRACE_FORMAT_VERSION};
 pub use hash::MixHasher;
 pub use ids::{ArchReg, PhysReg, Seq, NUM_ARCH_REGS};
-pub use op::{CtrlFlow, ExecClass, MemAccess, MicroOp, OpClass};
-pub use trace::{Trace, TraceBuilder, WrongPathBlock};
+pub use op::{CtrlFlow, MemAccess, MicroOp, OpClass};
+pub use trace::{Trace, TraceBuilder};

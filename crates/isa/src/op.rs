@@ -36,16 +36,6 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// Whether execution of this class has an observable, data-dependent
-    /// effect on the system — STT's transmitter definition (§3.1).
-    ///
-    /// Loads transmit through their address, stores through their address,
-    /// branches through their resolution direction.
-    #[must_use]
-    pub fn is_transmitter(self) -> bool {
-        matches!(self, OpClass::Load | OpClass::Store | OpClass::Branch)
-    }
-
     /// Whether this class occupies a long-latency (non-pipelined divide)
     /// unit — the ops that keep an operand unresolved across a whole
     /// speculation window, which both the memory-dependence predictor
@@ -68,17 +58,6 @@ impl OpClass {
             OpClass::FpDiv => 14,
             // Address generation; the memory hierarchy adds the rest.
             OpClass::Load | OpClass::Store => 1,
-        }
-    }
-
-    /// Which execution pipe the op needs.
-    #[must_use]
-    pub fn exec_class(self) -> ExecClass {
-        match self {
-            OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv | OpClass::Nop => ExecClass::Int,
-            OpClass::FpAlu | OpClass::FpMul | OpClass::FpDiv => ExecClass::Fp,
-            OpClass::Load | OpClass::Store => ExecClass::Mem,
-            OpClass::Branch => ExecClass::Int,
         }
     }
 
@@ -116,17 +95,6 @@ impl fmt::Display for OpClass {
         };
         f.write_str(s)
     }
-}
-
-/// Execution-pipe class used for functional-unit arbitration.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ExecClass {
-    /// Integer pipes (also execute branches and nops).
-    Int,
-    /// Floating-point pipes.
-    Fp,
-    /// Memory pipes (bounded by the configuration's memory ports).
-    Mem,
 }
 
 /// A memory access carried by a load or store micro-op.
@@ -199,7 +167,6 @@ pub(crate) const FLAG_MISPREDICTED: u8 = 1 << 3;
 ///
 /// let op = MicroOp::alu(ArchReg::int(1), Some(ArchReg::int(2)), None);
 /// assert_eq!(op.class(), OpClass::IntAlu);
-/// assert!(!op.is_transmitter());
 /// assert_eq!(op.sources().count(), 1);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -433,12 +400,6 @@ impl MicroOp {
         self.class == OpClass::Branch
     }
 
-    /// Whether this op is a transmitter under the combined threat model (§2.4).
-    #[must_use]
-    pub fn is_transmitter(&self) -> bool {
-        self.class.is_transmitter()
-    }
-
     /// Whether this branch was mispredicted. `false` for non-branches.
     #[must_use]
     pub fn is_mispredicted(&self) -> bool {
@@ -501,6 +462,17 @@ impl fmt::Debug for MicroOp {
 mod tests {
     use super::*;
 
+    impl OpClass {
+        /// Whether execution of this class has an observable, data-dependent
+        /// effect on the system — STT's transmitter definition (§3.1).
+        ///
+        /// Loads transmit through their address, stores through their address,
+        /// branches through their resolution direction.
+        fn is_transmitter(self) -> bool {
+            matches!(self, OpClass::Load | OpClass::Store | OpClass::Branch)
+        }
+    }
+
     #[test]
     fn transmitter_taxonomy_matches_stt() {
         assert!(OpClass::Load.is_transmitter());
@@ -519,15 +491,6 @@ mod tests {
         assert!(OpClass::IntDiv.exec_latency() > OpClass::IntMul.exec_latency());
         assert!(OpClass::IntMul.exec_latency() > OpClass::IntAlu.exec_latency());
         assert!(OpClass::FpDiv.exec_latency() > OpClass::FpMul.exec_latency());
-    }
-
-    #[test]
-    fn exec_class_routing() {
-        assert_eq!(OpClass::Load.exec_class(), ExecClass::Mem);
-        assert_eq!(OpClass::Store.exec_class(), ExecClass::Mem);
-        assert_eq!(OpClass::Branch.exec_class(), ExecClass::Int);
-        assert_eq!(OpClass::FpDiv.exec_class(), ExecClass::Fp);
-        assert_eq!(OpClass::IntDiv.exec_class(), ExecClass::Int);
     }
 
     #[test]

@@ -18,14 +18,14 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// Total capacity in bytes.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.sets * self.ways * self.line_bytes
     }
 
     /// A 32 KiB, 8-way, 64 B-line L1 data cache with a 4-cycle hit latency
     /// (the realistic latency the paper insists on in §9.5).
     #[must_use]
-    pub fn l1d_default() -> Self {
+    pub(crate) fn l1d_default() -> Self {
         CacheConfig {
             sets: 64,
             ways: 8,
@@ -36,7 +36,7 @@ impl CacheConfig {
 
     /// A 512 KiB, 8-way L2 with a 14-cycle hit latency.
     #[must_use]
-    pub fn l2_default() -> Self {
+    pub(crate) fn l2_default() -> Self {
         CacheConfig {
             sets: 1024,
             ways: 8,
@@ -61,13 +61,13 @@ impl fmt::Display for CacheConfig {
 /// What one [`Cache::access_traced`] call did to the cache state. Line
 /// addresses are aligned to the cache's line size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AccessTrace {
+pub(crate) struct AccessTrace {
     /// Whether the access hit.
-    pub hit: bool,
+    pub(crate) hit: bool,
     /// The line installed by a miss (`None` on a hit).
-    pub filled_line: Option<u64>,
+    pub(crate) filled_line: Option<u64>,
     /// The victim line the fill evicted, if the set was full.
-    pub evicted_line: Option<u64>,
+    pub(crate) evicted_line: Option<u64>,
 }
 
 /// A set-associative, true-LRU cache model (tags only; no data payload).
@@ -100,7 +100,7 @@ pub struct AccessTrace {
 /// assert!(!m.probe_l1d(0x1000));
 /// ```
 #[derive(Clone, Debug)]
-pub struct Cache {
+pub(crate) struct Cache {
     config: CacheConfig,
     /// Line tags, `ways` consecutive slots per set: valid lines first,
     /// most recently used first.
@@ -120,7 +120,7 @@ impl Cache {
     ///
     /// Panics if `sets` or `line_bytes` is not a power of two, or `ways` is 0.
     #[must_use]
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         assert!(config.sets.is_power_of_two(), "sets must be a power of two");
         assert!(
             config.line_bytes.is_power_of_two(),
@@ -145,7 +145,7 @@ impl Cache {
     /// of a full set), and reports the cache-state changes the access
     /// caused: the feed for the leakage observer, which attributes every
     /// fill and eviction to the instruction that triggered it.
-    pub fn access_traced(&mut self, addr: u64) -> AccessTrace {
+    pub(crate) fn access_traced(&mut self, addr: u64) -> AccessTrace {
         let (idx, tag) = self.index_and_tag(addr);
         let ways = self.config.ways;
         let len = self.filled[idx] as usize;
@@ -179,7 +179,7 @@ impl Cache {
     /// Whether `addr`'s line is present, without touching LRU state or
     /// filling — the attacker's probe primitive.
     #[must_use]
-    pub fn probe(&self, addr: u64) -> bool {
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
         let start = idx * self.config.ways;
         self.tags[start..start + self.filled[idx] as usize].contains(&tag)

@@ -4,7 +4,6 @@ use crate::cache::{Cache, CacheConfig};
 use crate::observer::{Attribution, CacheChangeKind, ContentionObserver, LeakageObserver};
 use crate::prefetch::StridePrefetcher;
 use sb_isa::Seq;
-use std::fmt;
 
 /// Which level served a demand access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,12 +198,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The configuration this hierarchy was built with.
-    #[must_use]
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
     /// Performs a demand access (a load, or a store's write-allocate) and
     /// returns the latency/level outcome. The prefetchers observe the
     /// access and install their targets.
@@ -325,16 +318,6 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn demand_accesses(&self) -> u64 {
         self.demand_accesses
-    }
-}
-
-impl fmt::Display for MemoryHierarchy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "L1D {} / L2 {} / DRAM {} cycles",
-            self.config.l1d, self.config.l2, self.config.dram_latency
-        )
     }
 }
 

@@ -38,9 +38,5 @@ mod hierarchy;
 mod observer;
 mod prefetch;
 
-pub use cache::CacheConfig;
 pub use hierarchy::{AccessOutcome, HierarchyConfig, MemoryHierarchy, ServedBy};
-pub use observer::{
-    Attribution, CacheChange, CacheChangeKind, ContentionEvent, ContentionKind, ContentionObserver,
-    LeakageObserver,
-};
+pub use observer::{Attribution, CacheChangeKind, ContentionObserver, LeakageObserver};

@@ -20,7 +20,6 @@
 
 use sb_isa::Seq;
 use std::collections::BTreeSet;
-use std::fmt;
 
 /// The instruction a cache-state change is charged to, as reported by the
 /// core at access time.
@@ -38,7 +37,7 @@ pub struct Attribution {
     pub wrong_path: bool,
 }
 
-/// The kind of microarchitectural-state change a [`CacheChange`] records.
+/// The kind of microarchitectural-state change a `CacheChange` records.
 /// Deliberately *excludes* LRU touches on hits: a warm re-access perturbs
 /// replacement state only, which the paper's schemes do not claim to hide
 /// (and which a flush+reload attacker cannot see either).
@@ -87,7 +86,7 @@ impl CacheChangeKind {
     /// Whether this change concerns frontend predictor state (table-index
     /// address space) rather than cache state (byte address space).
     #[must_use]
-    pub fn is_predictor(self) -> bool {
+    pub(crate) fn is_predictor(self) -> bool {
         matches!(
             self,
             CacheChangeKind::PhtTrain
@@ -141,7 +140,7 @@ impl CacheChange {
 /// m.access(0x4000_0000, Some(attr));
 /// m.note_squash(Seq::new(7)); // the wrong-path load is squashed
 /// let obs = m.leakage_observer().unwrap();
-/// assert!(obs.transient_lines().contains(&0x4000_0000));
+/// assert!(obs.transient_changes().any(|c| c.line_addr == 0x4000_0000));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LeakageObserver {
@@ -151,7 +150,7 @@ pub struct LeakageObserver {
 impl LeakageObserver {
     /// An empty observer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -188,7 +187,7 @@ impl LeakageObserver {
     /// allocated monotonically and never reused, so instructions recorded
     /// *after* this call (including replays of the squashed trace region)
     /// carry strictly larger sequence numbers and are unaffected.
-    pub fn note_squash(&mut self, first_removed: Seq) {
+    pub(crate) fn note_squash(&mut self, first_removed: Seq) {
         for c in &mut self.changes {
             if c.attr.seq >= first_removed {
                 c.transient = true;
@@ -205,12 +204,6 @@ impl LeakageObserver {
     /// Changes attributed to squashed instructions.
     pub fn transient_changes(&self) -> impl Iterator<Item = &CacheChange> {
         self.changes.iter().filter(|c| c.is_transient())
-    }
-
-    /// The set of line addresses touched by transient changes.
-    #[must_use]
-    pub fn transient_lines(&self) -> BTreeSet<u64> {
-        self.transient_changes().map(|c| c.line_addr).collect()
     }
 
     /// Probe-array slots hit by transient *cache* changes: slot `i` covers
@@ -274,7 +267,7 @@ impl LeakageObserver {
 /// are occupancy — a co-resident attacker observes them as latency on its
 /// own accesses during the transient window, not as hits afterwards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ContentionKind {
+pub(crate) enum ContentionKind {
     /// A demand L1 miss held a miss-status holding register for the fill's
     /// full latency; *which* MSHR (i.e. which line) is busy is observable
     /// through bank-conflict timing.
@@ -287,18 +280,18 @@ pub enum ContentionKind {
 
 /// One attributed resource-pressure event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ContentionEvent {
+pub(crate) struct ContentionEvent {
     /// What resource was pressured.
-    pub kind: ContentionKind,
+    pub(crate) kind: ContentionKind,
     /// Line address the pressure concerns: the missing line for MSHR
     /// occupancy, `None` for a bare port use (port pressure carries no
     /// address — the *count* is the signal).
-    pub line_addr: Option<u64>,
+    pub(crate) line_addr: Option<u64>,
     /// How many cycles the resource was held (the fill latency for an
     /// MSHR, 1 for a port slot).
-    pub cycles: u32,
+    pub(crate) cycles: u32,
     /// The instruction charged with the pressure.
-    pub attr: Attribution,
+    pub(crate) attr: Attribution,
     /// Set by [`ContentionObserver::note_squash`] once the attributed
     /// instruction is squashed.
     transient: bool,
@@ -309,7 +302,7 @@ impl ContentionEvent {
     /// exerted by an execution that architecturally never happened: a
     /// contention side channel.
     #[must_use]
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         self.transient
     }
 }
@@ -334,7 +327,7 @@ pub struct ContentionObserver {
 impl ContentionObserver {
     /// An empty observer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -365,7 +358,7 @@ impl ContentionObserver {
     /// The core squashed every instruction with `seq >= first_removed`:
     /// their pressure events become transient (same contract as
     /// [`LeakageObserver::note_squash`]).
-    pub fn note_squash(&mut self, first_removed: Seq) {
+    pub(crate) fn note_squash(&mut self, first_removed: Seq) {
         for e in &mut self.events {
             if e.attr.seq >= first_removed {
                 e.transient = true;
@@ -373,14 +366,8 @@ impl ContentionObserver {
         }
     }
 
-    /// Every recorded event, in occurrence order.
-    #[must_use]
-    pub fn events(&self) -> &[ContentionEvent] {
-        &self.events
-    }
-
     /// Events attributed to squashed instructions.
-    pub fn transient_events(&self) -> impl Iterator<Item = &ContentionEvent> {
+    pub(crate) fn transient_events(&self) -> impl Iterator<Item = &ContentionEvent> {
         self.events.iter().filter(|e| e.is_transient())
     }
 
@@ -410,15 +397,6 @@ impl ContentionObserver {
             .count()
     }
 
-    /// Total MSHR-occupancy cycles charged to squashed instructions.
-    #[must_use]
-    pub fn transient_mshr_cycles(&self) -> u64 {
-        self.transient_events()
-            .filter(|e| e.kind == ContentionKind::MshrOccupancy)
-            .map(|e| u64::from(e.cycles))
-            .sum()
-    }
-
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -432,31 +410,26 @@ impl ContentionObserver {
     }
 }
 
-impl fmt::Display for ContentionObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} contention events ({} transient)",
-            self.events.len(),
-            self.transient_events().count()
-        )
-    }
-}
-
-impl fmt::Display for LeakageObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cache changes ({} transient)",
-            self.changes.len(),
-            self.transient_changes().count()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LeakageObserver {
+        /// The set of line addresses touched by transient changes.
+        pub(crate) fn transient_lines(&self) -> BTreeSet<u64> {
+            self.transient_changes().map(|c| c.line_addr).collect()
+        }
+    }
+
+    impl ContentionObserver {
+        /// Total MSHR-occupancy cycles charged to squashed instructions.
+        pub(crate) fn transient_mshr_cycles(&self) -> u64 {
+            self.transient_events()
+                .filter(|e| e.kind == ContentionKind::MshrOccupancy)
+                .map(|e| u64::from(e.cycles))
+                .sum()
+        }
+    }
     use crate::hierarchy::{HierarchyConfig, MemoryHierarchy};
 
     fn mem() -> MemoryHierarchy {
@@ -490,7 +463,6 @@ mod tests {
         let slots = obs.transient_slots(0x1000, 4096, 16);
         assert_eq!(slots.into_iter().collect::<Vec<_>>(), vec![0, 3]);
         assert_eq!(obs.transient_changes().count(), 4);
-        assert_eq!(format!("{obs}"), "5 cache changes (4 transient)");
     }
 
     #[test]
@@ -581,7 +553,6 @@ mod tests {
         assert_eq!(obs.transient_port_uses(), 1);
         assert_eq!(obs.transient_mshr_cycles(), 196);
         assert_eq!(obs.len(), 5);
-        assert_eq!(format!("{obs}"), "5 contention events (3 transient)");
     }
 
     #[test]
@@ -591,7 +562,7 @@ mod tests {
         obs.note_squash(Seq::new(1));
         assert_eq!(obs.transient_port_uses(), 1);
         assert!(obs.transient_mshr_slots(0, 4096, 16).is_empty());
-        assert_eq!(obs.events()[0].line_addr, None);
-        assert_eq!(obs.events()[0].cycles, 1);
+        assert_eq!(obs.events[0].line_addr, None);
+        assert_eq!(obs.events[0].cycles, 1);
     }
 }

@@ -17,19 +17,11 @@ pub struct BootstrapCi {
     /// Upper bound of the interval.
     pub hi: f64,
     /// Number of observed samples (replicates) the interval is built from.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Number of bootstrap resamples drawn.
-    pub resamples: usize,
+    pub(crate) resamples: usize,
     /// Nominal two-sided confidence level, e.g. `0.95`.
-    pub confidence: f64,
-}
-
-impl BootstrapCi {
-    /// Interval width (`hi - lo`).
-    #[must_use]
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
+    pub(crate) confidence: f64,
 }
 
 /// Deterministic splitmix64 stream — the same tiny generator the workload
@@ -133,7 +125,7 @@ mod tests {
     fn empty_samples_yield_the_zero_interval() {
         let ci = bootstrap_ci(&[], 200, 0.95, 1);
         assert_eq!((ci.mean, ci.lo, ci.hi), (0.0, 0.0, 0.0));
-        assert_eq!(ci.width(), 0.0);
+        assert_eq!(ci.hi - ci.lo, 0.0);
     }
 
     #[test]
@@ -146,7 +138,7 @@ mod tests {
     fn identical_samples_yield_a_zero_width_interval() {
         let ci = bootstrap_ci(&[0.7; 8], 200, 0.95, 42);
         assert!((ci.mean - 0.7).abs() < 1e-12);
-        assert!(ci.width().abs() < 1e-12);
+        assert!((ci.hi - ci.lo).abs() < 1e-12);
     }
 
     #[test]
@@ -186,7 +178,7 @@ mod tests {
         let wide = bootstrap_ci(&few, 400, 0.95, 11);
         let narrow = bootstrap_ci(&many, 400, 0.95, 11);
         assert!(
-            narrow.width() < wide.width(),
+            narrow.hi - narrow.lo < wide.hi - wide.lo,
             "narrow {:?} vs wide {:?}",
             narrow,
             wide

@@ -13,12 +13,6 @@ use std::ops::AddAssign;
 pub struct Counter(u64);
 
 impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
     /// Adds one event.
     pub fn incr(&mut self) {
         self.0 = self.0.saturating_add(1);
@@ -166,27 +160,6 @@ impl SimStats {
             self.committed.get() as f64 / self.cycles.get() as f64
         }
     }
-
-    /// Mispredictions per kilo-instruction.
-    #[must_use]
-    pub fn mpki(&self) -> f64 {
-        if self.committed.get() == 0 {
-            0.0
-        } else {
-            1000.0 * self.branch_mispredicts.get() as f64 / self.committed.get() as f64
-        }
-    }
-
-    /// L1D miss ratio over all L1D accesses.
-    #[must_use]
-    pub fn l1d_miss_ratio(&self) -> f64 {
-        let total = self.l1d_hits.get() + self.l1d_misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.l1d_misses.get() as f64 / total as f64
-        }
-    }
 }
 
 impl fmt::Display for SimStats {
@@ -207,9 +180,30 @@ impl fmt::Display for SimStats {
 mod tests {
     use super::*;
 
+    impl SimStats {
+        /// Mispredictions per kilo-instruction.
+        fn mpki(&self) -> f64 {
+            if self.committed.get() == 0 {
+                0.0
+            } else {
+                1000.0 * self.branch_mispredicts.get() as f64 / self.committed.get() as f64
+            }
+        }
+
+        /// L1D miss ratio over all L1D accesses.
+        fn l1d_miss_ratio(&self) -> f64 {
+            let total = self.l1d_hits.get() + self.l1d_misses.get();
+            if total == 0 {
+                0.0
+            } else {
+                self.l1d_misses.get() as f64 / total as f64
+            }
+        }
+    }
+
     #[test]
     fn counter_basics() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         c.incr();
         c += 4;
         assert_eq!(c.get(), 5);
@@ -218,7 +212,7 @@ mod tests {
 
     #[test]
     fn counter_saturates() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         c.add(u64::MAX);
         c.incr();
         assert_eq!(c.get(), u64::MAX);

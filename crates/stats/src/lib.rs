@@ -16,6 +16,6 @@ mod suite;
 mod trend;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
-pub use counters::{Counter, SimStats, StallBreakdown};
+pub use counters::{Counter, SimStats};
 pub use suite::{suite_ipc, BenchResult, SuiteSummary};
 pub use trend::{LinearFit, TrendError, TrendPoint};

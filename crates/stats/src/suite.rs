@@ -32,7 +32,7 @@ impl BenchResult {
 
     /// Instructions per cycle for this benchmark alone.
     #[must_use]
-    pub fn ipc(&self) -> f64 {
+    pub(crate) fn ipc(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
@@ -132,7 +132,7 @@ impl SuiteSummary {
 
     /// Suite-mean scheme IPC (absolute).
     #[must_use]
-    pub fn scheme_ipc(&self) -> f64 {
+    pub(crate) fn scheme_ipc(&self) -> f64 {
         suite_ipc(&self.scheme)
     }
 
@@ -153,18 +153,6 @@ impl SuiteSummary {
     #[must_use]
     pub fn ipc_loss_percent(&self) -> f64 {
         (1.0 - self.mean_normalized_ipc()) * 100.0
-    }
-
-    /// Baseline rows.
-    #[must_use]
-    pub fn baseline(&self) -> &[BenchResult] {
-        &self.baseline
-    }
-
-    /// Scheme rows.
-    #[must_use]
-    pub fn scheme(&self) -> &[BenchResult] {
-        &self.scheme
     }
 }
 

@@ -60,7 +60,7 @@ pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,
     /// Intercept of the fitted line.
-    pub intercept: f64,
+    pub(crate) intercept: f64,
 }
 
 impl LinearFit {

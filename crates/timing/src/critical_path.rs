@@ -39,18 +39,18 @@ const NDA_LSU_GAIN: f64 = 0.15;
 
 /// Per-stage delay decomposition for one (config, scheme) design point.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TimingBreakdown {
+pub(crate) struct TimingBreakdown {
     /// Balanced baseline stage period (ns).
-    pub base_period: f64,
+    pub(crate) base_period: f64,
     /// Extra delay the scheme adds to its critical stage (ns; negative for
     /// NDA's removed logic).
-    pub scheme_delta: f64,
+    pub(crate) scheme_delta: f64,
 }
 
 impl TimingBreakdown {
     /// Achievable clock period (ns).
     #[must_use]
-    pub fn period_ns(&self) -> f64 {
+    pub(crate) fn period_ns(&self) -> f64 {
         self.base_period + self.scheme_delta
     }
 }
@@ -70,7 +70,7 @@ fn issue_taint_ns(phys_regs: usize) -> f64 {
 
 /// Timing breakdown for a design point.
 #[must_use]
-pub fn breakdown(config: &CoreConfig, scheme: Scheme) -> TimingBreakdown {
+pub(crate) fn breakdown(config: &CoreConfig, scheme: Scheme) -> TimingBreakdown {
     let w = config.width as f64;
     let base_period = BASE_FIXED
         + BASE_PER_WIDTH * w
@@ -90,7 +90,7 @@ pub fn breakdown(config: &CoreConfig, scheme: Scheme) -> TimingBreakdown {
 
 /// Achievable clock period in nanoseconds.
 #[must_use]
-pub fn period_ns(config: &CoreConfig, scheme: Scheme) -> f64 {
+pub(crate) fn period_ns(config: &CoreConfig, scheme: Scheme) -> f64 {
     breakdown(config, scheme).period_ns()
 }
 

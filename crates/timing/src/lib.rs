@@ -23,6 +23,6 @@ mod area;
 mod critical_path;
 mod power;
 
-pub use area::{area_estimate, AreaEstimate};
-pub use critical_path::{frequency_mhz, period_ns, relative_timing, TimingBreakdown};
+pub use area::area_estimate;
+pub use critical_path::{frequency_mhz, relative_timing};
 pub use power::{power_estimate, relative_power, ActivityProfile};

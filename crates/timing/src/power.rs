@@ -25,9 +25,9 @@ pub struct ActivityProfile {
     /// Micro-ops issued (or issue slots burned) per cycle.
     pub issue_rate: f64,
     /// Scheme broadcasts per cycle.
-    pub broadcast_rate: f64,
+    pub(crate) broadcast_rate: f64,
     /// Memory accesses per cycle.
-    pub mem_rate: f64,
+    pub(crate) mem_rate: f64,
 }
 
 impl ActivityProfile {
@@ -49,7 +49,7 @@ impl ActivityProfile {
 
     /// Scalar switching index used by the power formula.
     #[must_use]
-    pub fn index(&self) -> f64 {
+    pub(crate) fn index(&self) -> f64 {
         0.7 * self.issue_rate + 0.15 * self.broadcast_rate + 0.15 * self.mem_rate
     }
 

@@ -79,14 +79,14 @@ pub const SIM_RESULTS_REVISION: u64 = 2;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PredictorConfig {
     /// Whether the modelled predictor drives mispredict decisions.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Pattern history table entries (2-bit counters); power of two.
-    pub pht_entries: usize,
+    pub(crate) pht_entries: usize,
     /// Branch target buffer entries (direct-mapped, tagged); power of two.
-    pub btb_entries: usize,
+    pub(crate) btb_entries: usize,
     /// Global history bits folded into the gshare index (0 = pure
     /// per-pc bimodal indexing); at most 32.
-    pub ghr_bits: u32,
+    pub(crate) ghr_bits: u32,
 }
 
 impl PredictorConfig {
@@ -142,12 +142,12 @@ pub struct CoreConfig {
     /// Branch checkpoints (branch tags); rename stalls when exhausted.
     pub max_br_tags: usize,
     /// Front-end refill penalty after a redirect (mispredict or flush).
-    pub redirect_penalty: u32,
+    pub(crate) redirect_penalty: u32,
     /// Cycles between dispatch and earliest issue (decode/rename/dispatch
     /// pipeline depth). This sets the minimum lifetime of a speculation
     /// shadow, which is what makes delayed-broadcast (NDA) and taint
     /// gating (STT) expensive on real pipelines.
-    pub dispatch_latency: u32,
+    pub(crate) dispatch_latency: u32,
     /// Memory hierarchy parameters.
     pub hierarchy: HierarchyConfig,
     /// Modelling fidelity.
@@ -376,7 +376,7 @@ impl CoreConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] naming the first violated constraint: a zero-sized
+    /// `ConfigError` naming the first violated constraint: a zero-sized
     /// resource, a ROB narrower than one rename group, too few physical
     /// registers to rename a full group past the architectural state, a
     /// cache with a non-power-of-two set count or line size or no ways, or
@@ -433,7 +433,7 @@ impl CoreConfig {
     /// # Panics
     ///
     /// Panics with the check's message if the configuration is invalid.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("invalid core configuration {}: {e}", self.name);
         }

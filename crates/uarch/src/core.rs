@@ -94,7 +94,7 @@ use crate::rob::{RobArena, RobHandle};
 use crate::sched::{pack_pos, ArrivalRing, Calendar, Part, PartRef, SchedState, Wake, WastedRing};
 use sb_core::{
     BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintOutcome, RenameTaintTracker, Scheme,
-    SchemeConfig, ShadowKind, SpeculationTracker, ThreatModel,
+    SchemeConfig, SpeculationTracker, ThreatModel,
 };
 use sb_isa::{OpClass, PhysReg, Seq, Trace};
 use sb_mem::{Attribution, MemoryHierarchy, ServedBy};
@@ -331,7 +331,7 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`CoreConfig::validate`].
+    /// Panics if the configuration fails `CoreConfig::validate`.
     #[must_use]
     pub fn new(config: CoreConfig, scheme_cfg: SchemeConfig, trace: impl Into<Arc<Trace>>) -> Self {
         config.validate();
@@ -401,12 +401,6 @@ impl Core {
         Core::new(config, scheme_cfg, trace)
     }
 
-    /// The active scheme.
-    #[must_use]
-    pub fn scheme(&self) -> Scheme {
-        self.scheme_cfg.scheme
-    }
-
     /// The full scheme configuration (including the threat model).
     #[must_use]
     pub fn scheme_config(&self) -> SchemeConfig {
@@ -421,12 +415,6 @@ impl Core {
     #[must_use]
     pub fn shadows_in_flight(&self) -> usize {
         self.tracker.len()
-    }
-
-    /// The core configuration.
-    #[must_use]
-    pub fn config(&self) -> &CoreConfig {
-        &self.config
     }
 
     /// Collected statistics so far.
@@ -962,7 +950,6 @@ impl Core {
                     }
                 }
             }
-            self.rob.hot_mut(idx).set_cshadow_resolved(true);
             if let Some(t) = self.rob.cold(idx).shadow_token() {
                 self.tracker.resolve_at(t);
             }
@@ -981,7 +968,6 @@ impl Core {
             // additionally wait for the visibility point.
             let p = dst.expect("load has destination");
             if self.tracker.is_speculative(seq) {
-                self.rob.hot_mut(idx).set_spec_source(true);
                 self.stats.delayed_transmitters.incr();
             }
             self.nda_q.push(seq, p);
@@ -1512,7 +1498,6 @@ impl Core {
             }
             LoadPlan::Cache | LoadPlan::SpeculatePastStore => {
                 if plan == LoadPlan::SpeculatePastStore {
-                    self.rob.hot_mut(idx).set_mem_speculated(true);
                     self.stats.memdep_speculations.incr();
                 }
                 // Attribute the access for the leakage observer: a load
@@ -1573,14 +1558,11 @@ impl Core {
             if let Some(d) = dst {
                 if speculative {
                     self.taint_unit.taint(d, seq);
-                    self.rob.hot_mut(idx).set_spec_source(true);
                     self.stats.taints_applied.incr();
                 } else {
                     self.taint_unit.clean(d);
                 }
             }
-        } else if scheme == Scheme::SttRename && speculative {
-            self.rob.hot_mut(idx).set_spec_source(true);
         }
         self.schedule(done_at, handle, Event::Complete);
         self.iq_count -= 1;
@@ -1986,7 +1968,7 @@ impl Core {
             // modes structurally identical for the differential tests).
             match op.class() {
                 OpClass::Branch => {
-                    cold.set_shadow_token(self.tracker.cast(seq, ShadowKind::Control));
+                    cold.set_shadow_token(self.tracker.cast(seq));
                     inst.set_br_tag(true);
                     self.br_tags_used += 1;
                 }
@@ -1997,7 +1979,7 @@ impl Core {
                         // fault or be squashed by a consistency violation
                         // until it is bound to commit, so it casts a shadow
                         // of its own, resolved at commit.
-                        cold.set_shadow_token(self.tracker.cast(seq, ShadowKind::Memory));
+                        cold.set_shadow_token(self.tracker.cast(seq));
                     }
                     if scheme.is_stt() {
                         // Every load broadcasts once it becomes
@@ -2011,7 +1993,7 @@ impl Core {
                     // A store with an unresolved address casts a D-shadow:
                     // younger loads may forward stale data past it (§2.1,
                     // §6). Resolved when address generation completes.
-                    cold.set_shadow_token(self.tracker.cast(seq, ShadowKind::Data));
+                    cold.set_shadow_token(self.tracker.cast(seq));
                     inst.queue_mark = self.lq.tail();
                     self.sq.push(arrival);
                 }
@@ -2080,16 +2062,13 @@ impl Core {
             let tracker = &self.tracker;
             self.rename_taint
                 .rename_group(&ops, |root| tracker.taint_live(root), &mut outcomes);
-            for ((&i, op), out) in group.iter().zip(&ops).zip(&outcomes) {
+            for (&i, out) in group.iter().zip(&outcomes) {
                 let inst = self.rob.hot_mut(i);
                 if let Some(root) = out.yrot {
                     inst.set_yrot(root);
                 }
-                if inst.is_load() && op.speculative {
-                    inst.set_spec_source(true);
-                }
                 let cold = self.rob.cold_mut(i);
-                cold.set_split_yrots(out.addr_yrot, out.data_yrot);
+                cold.set_addr_yrot(out.addr_yrot);
                 cold.set_prev_taint(out.prev_dst_taint);
                 if out.yrot.is_some() {
                     self.stats.taints_applied.incr();

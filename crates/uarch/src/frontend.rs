@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// What the front end delivers for one dispatch slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fetched {
+pub(crate) enum Fetched {
     /// A correct-path op at this trace index.
     Correct(usize),
     /// A wrong-path op (index into the active wrong-path block).
@@ -37,7 +37,7 @@ enum Mode {
 /// Trace-driven fetch with misprediction stall, wrong-path injection, and
 /// flush/rewind support.
 #[derive(Clone, Debug)]
-pub struct Frontend {
+pub(crate) struct Frontend {
     trace: Arc<Trace>,
     cursor: usize,
     mode: Mode,
@@ -48,7 +48,7 @@ impl Frontend {
     /// A front end positioned at the start of `trace`: an owned [`Trace`]
     /// or an `Arc<Trace>` shared with other front ends.
     #[must_use]
-    pub fn new(trace: impl Into<Arc<Trace>>, redirect_penalty: u32) -> Self {
+    pub(crate) fn new(trace: impl Into<Arc<Trace>>, redirect_penalty: u32) -> Self {
         Frontend {
             trace: trace.into(),
             cursor: 0,
@@ -57,23 +57,17 @@ impl Frontend {
         }
     }
 
-    /// The underlying trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Whether every correct-path op has been delivered and fetch is not
     /// rewound or replaying.
     #[must_use]
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.cursor >= self.trace.len() && matches!(self.mode, Mode::Normal)
     }
 
     /// Looks at the next op fetch would deliver at `cycle` without consuming
     /// it, so dispatch can check resource availability first. Expired
     /// redirects are retired as a side effect (idempotent).
-    pub fn peek(&mut self, cycle: u64) -> Option<(Fetched, MicroOp)> {
+    pub(crate) fn peek(&mut self, cycle: u64) -> Option<(Fetched, MicroOp)> {
         match &self.mode {
             Mode::Stalled => None,
             Mode::RedirectUntil(at) => {
@@ -104,18 +98,10 @@ impl Frontend {
     /// Consumes the op last returned by [`Frontend::peek`]. Entering a
     /// mispredicted branch switches fetch into wrong-path or stalled mode.
     ///
-    /// # Panics
-    ///
-    /// Panics if there is nothing to consume in the current mode.
-    pub fn consume(&mut self) {
-        self.consume_with(None);
-    }
-
-    /// [`Frontend::consume`] with an optional mispredict override for the
-    /// op being consumed: `Some(m)` replaces the trace's static bit with
-    /// the modelled predictor's fetch-time decision `m`, `None` keeps the
-    /// static bit (the predictor-off path — bit-identical to the
-    /// pre-predictor frontend).
+    /// `mispredict_override` applies to the op being consumed: `Some(m)`
+    /// replaces the trace's static bit with the modelled predictor's
+    /// fetch-time decision `m`, `None` keeps the static bit (the
+    /// predictor-off path — bit-identical to the pre-predictor frontend).
     ///
     /// A dynamically mispredicted branch still injects the trace's
     /// wrong-path block if one is attached; when the predictor mispredicts
@@ -126,7 +112,7 @@ impl Frontend {
     /// # Panics
     ///
     /// Panics if there is nothing to consume in the current mode.
-    pub fn consume_with(&mut self, mispredict_override: Option<bool>) {
+    pub(crate) fn consume_with(&mut self, mispredict_override: Option<bool>) {
         match &mut self.mode {
             Mode::WrongPath { next, .. } => {
                 *next += 1;
@@ -155,14 +141,6 @@ impl Frontend {
         }
     }
 
-    /// Delivers and consumes the next op for dispatch at `cycle`, if fetch
-    /// can supply one.
-    pub fn next_op(&mut self, cycle: u64) -> Option<(Fetched, MicroOp)> {
-        let out = self.peek(cycle)?;
-        self.consume();
-        Some(out)
-    }
-
     /// Called when the in-flight mispredicted branch resolves at `cycle`:
     /// ends the stall / wrong-path mode and starts the redirect. The cursor
     /// already points at the first post-branch correct-path op.
@@ -173,7 +151,7 @@ impl Frontend {
     /// a pending mispredict. This is a hard invariant, not a debug assert:
     /// a spurious resolution in release would silently start a redirect
     /// and skew timing without any test noticing.
-    pub fn branch_resolved(&mut self, cycle: u64) {
+    pub(crate) fn branch_resolved(&mut self, cycle: u64) {
         assert!(
             matches!(self.mode, Mode::Stalled | Mode::WrongPath { .. }),
             "resolution without a pending mispredict"
@@ -183,7 +161,7 @@ impl Frontend {
 
     /// Flush: rewind the cursor to `trace_idx` (the op to re-fetch first)
     /// and redirect. Used by forwarding-error recovery.
-    pub fn flush_to(&mut self, trace_idx: usize, cycle: u64) {
+    pub(crate) fn flush_to(&mut self, trace_idx: usize, cycle: u64) {
         self.cursor = trace_idx;
         self.mode = Mode::RedirectUntil(cycle + u64::from(self.redirect_penalty));
     }
@@ -191,14 +169,14 @@ impl Frontend {
     /// Whether fetch is currently stalled on an unresolved mispredict (used
     /// by deadlock diagnostics).
     #[must_use]
-    pub fn is_stalled(&self) -> bool {
+    pub(crate) fn is_stalled(&self) -> bool {
         matches!(self.mode, Mode::Stalled | Mode::WrongPath { .. })
     }
 
     /// The cycle an in-progress redirect ends, if one is in progress (the
     /// event-driven scheduler uses this to bound idle-cycle skips).
     #[must_use]
-    pub fn redirect_resume_cycle(&self) -> Option<u64> {
+    pub(crate) fn redirect_resume_cycle(&self) -> Option<u64> {
         match self.mode {
             Mode::RedirectUntil(at) => Some(at),
             _ => None,
@@ -210,6 +188,21 @@ impl Frontend {
 mod tests {
     use super::*;
     use sb_isa::{ArchReg, TraceBuilder};
+
+    impl Frontend {
+        /// [`Frontend::consume_with`] keeping the trace's static bit.
+        fn consume(&mut self) {
+            self.consume_with(None);
+        }
+
+        /// Delivers and consumes the next op for dispatch at `cycle`, if
+        /// fetch can supply one.
+        fn next_op(&mut self, cycle: u64) -> Option<(Fetched, MicroOp)> {
+            let out = self.peek(cycle)?;
+            self.consume();
+            Some(out)
+        }
+    }
 
     fn x(n: u8) -> ArchReg {
         ArchReg::int(n)

@@ -27,7 +27,7 @@ use sb_isa::{MemAccess, MicroOp, OpClass, PhysReg, Seq};
 /// Scheduling phase of an in-flight micro-op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// In the issue queue, waiting for operands (and scheme gates).
     Waiting,
     /// Issued to a functional unit; completion scheduled.
@@ -48,12 +48,12 @@ macro_rules! flag_accessors {
         $(
             $(#[$doc])*
             #[must_use]
-            pub fn $get(&self) -> bool {
+            pub(crate) fn $get(&self) -> bool {
                 self.flags & Self::$bit != 0
             }
 
             #[doc = concat!("Sets [`HotInst::", stringify!($get), "`].")]
-            pub fn $set(&mut self, v: bool) {
+            pub(crate) fn $set(&mut self, v: bool) {
                 if v {
                     self.flags |= Self::$bit;
                 } else {
@@ -78,7 +78,7 @@ pub struct HotInst {
     pub seq: Seq,
     /// Cycle the op entered the ROB (earliest issue is
     /// `dispatch_cycle + dispatch_latency`).
-    pub dispatch_cycle: u64,
+    pub(crate) dispatch_cycle: u64,
     /// Youngest root of taint gating this op, packed (`NO_SEQ` = none).
     yrot: u64,
     /// Load: forwarding store sequence, packed (`NO_SEQ` = none).
@@ -91,7 +91,7 @@ pub struct HotInst {
     /// position onward are exactly the loads younger than this store. The
     /// LSU search and the forwarding-error check slice the queue rings
     /// directly from this mark instead of binary-searching.
-    pub queue_mark: u64,
+    pub(crate) queue_mark: u64,
     /// Renamed source physical registers (`NO_PREG` = none).
     src_pregs: [u16; 2],
     /// Destination physical register (`NO_PREG` = none).
@@ -99,9 +99,9 @@ pub struct HotInst {
     /// Packed per-stage status bits (see the `flag_accessors!` block).
     flags: u16,
     /// Functional class (copied out of the micro-op).
-    pub class: OpClass,
+    pub(crate) class: OpClass,
     /// Current phase.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
     /// Memory access size in bytes (meaningful iff `HAS_MEM`).
     mem_bytes: u8,
 }
@@ -118,13 +118,10 @@ impl HotInst {
     const ADDR_DONE: u16 = 1 << 3;
     const DATA_LAUNCHED: u16 = 1 << 4;
     const DATA_DONE: u16 = 1 << 5;
-    const MEM_SPECULATED: u16 = 1 << 6;
-    const EXECUTED: u16 = 1 << 7;
-    const CSHADOW_RESOLVED: u16 = 1 << 8;
-    const TAINT_MASKED: u16 = 1 << 9;
-    const SPEC_SOURCE: u16 = 1 << 10;
-    const HAS_MEM: u16 = 1 << 11;
-    const MISPREDICTED: u16 = 1 << 12;
+    const EXECUTED: u16 = 1 << 6;
+    const TAINT_MASKED: u16 = 1 << 7;
+    const HAS_MEM: u16 = 1 << 8;
+    const MISPREDICTED: u16 = 1 << 9;
 
     /// A freshly dispatched instruction in the waiting phase. Renamed
     /// registers are filled in by the dispatch stage afterwards.
@@ -164,30 +161,30 @@ impl HotInst {
 
     /// Renamed source physical register `i`, if any.
     #[must_use]
-    pub fn src_preg(&self, i: usize) -> Option<PhysReg> {
+    pub(crate) fn src_preg(&self, i: usize) -> Option<PhysReg> {
         (self.src_pregs[i] != NO_PREG).then(|| PhysReg::new(self.src_pregs[i]))
     }
 
     /// Both renamed source physical registers.
     #[must_use]
-    pub fn src_pregs(&self) -> [Option<PhysReg>; 2] {
+    pub(crate) fn src_pregs(&self) -> [Option<PhysReg>; 2] {
         [self.src_preg(0), self.src_preg(1)]
     }
 
     /// Records the renamed source register `i`.
-    pub fn set_src_preg(&mut self, i: usize, p: PhysReg) {
+    pub(crate) fn set_src_preg(&mut self, i: usize, p: PhysReg) {
         debug_assert!(p.index() < NO_PREG as usize);
         self.src_pregs[i] = p.index() as u16;
     }
 
     /// Destination physical register, if any.
     #[must_use]
-    pub fn dst_preg(&self) -> Option<PhysReg> {
+    pub(crate) fn dst_preg(&self) -> Option<PhysReg> {
         (self.dst_preg != NO_PREG).then(|| PhysReg::new(self.dst_preg))
     }
 
     /// Records the renamed destination register.
-    pub fn set_dst_preg(&mut self, p: PhysReg) {
+    pub(crate) fn set_dst_preg(&mut self, p: PhysReg) {
         debug_assert!(p.index() < NO_PREG as usize);
         self.dst_preg = p.index() as u16;
     }
@@ -197,12 +194,12 @@ impl HotInst {
     /// Youngest root of taint gating this op (STT-Rename: from rename;
     /// STT-Issue: discovered at first issue attempt).
     #[must_use]
-    pub fn yrot(&self) -> Option<Seq> {
+    pub(crate) fn yrot(&self) -> Option<Seq> {
         (self.yrot != NO_SEQ).then(|| Seq::new(self.yrot))
     }
 
     /// Records the gating taint root.
-    pub fn set_yrot(&mut self, root: Seq) {
+    pub(crate) fn set_yrot(&mut self, root: Seq) {
         debug_assert!(root.value() != NO_SEQ, "Seq 0 is the packed None");
         self.yrot = root.value();
     }
@@ -211,12 +208,12 @@ impl HotInst {
 
     /// Load: the store this load forwarded from (else it read the cache).
     #[must_use]
-    pub fn fwd_src(&self) -> Option<Seq> {
+    pub(crate) fn fwd_src(&self) -> Option<Seq> {
         (self.fwd_src != NO_SEQ).then(|| Seq::new(self.fwd_src))
     }
 
     /// Records the forwarding store.
-    pub fn set_fwd_src(&mut self, store: Seq) {
+    pub(crate) fn set_fwd_src(&mut self, store: Seq) {
         debug_assert!(store.value() != NO_SEQ, "Seq 0 is the packed None");
         self.fwd_src = store.value();
     }
@@ -225,7 +222,7 @@ impl HotInst {
 
     /// The memory access carried by a load or store, if any.
     #[must_use]
-    pub fn mem(&self) -> Option<MemAccess> {
+    pub(crate) fn mem(&self) -> Option<MemAccess> {
         (self.flags & Self::HAS_MEM != 0).then_some(MemAccess {
             addr: self.mem_addr,
             bytes: self.mem_bytes,
@@ -236,39 +233,35 @@ impl HotInst {
 
     /// Whether this op is a load.
     #[must_use]
-    pub fn is_load(&self) -> bool {
+    pub(crate) fn is_load(&self) -> bool {
         self.class == OpClass::Load
     }
 
     /// Whether this op is a store.
     #[must_use]
-    pub fn is_store(&self) -> bool {
+    pub(crate) fn is_store(&self) -> bool {
         self.class == OpClass::Store
     }
 
     /// Whether this op is a branch.
     #[must_use]
-    pub fn is_branch(&self) -> bool {
+    pub(crate) fn is_branch(&self) -> bool {
         self.class == OpClass::Branch
     }
 
     /// Whether this op has fully produced its result.
     #[must_use]
-    pub fn is_completed(&self) -> bool {
+    pub(crate) fn is_completed(&self) -> bool {
         self.phase == Phase::Completed
     }
 
-    /// Whether this (store) op has finished both parts. Non-stores use
-    /// `phase` alone.
+    /// Whether this op was fetched down a mispredicted path.
     #[must_use]
-    pub fn store_fully_issued(&self) -> bool {
-        let both = Self::ADDR_DONE | Self::DATA_DONE;
-        self.flags & both == both
+    pub(crate) fn wrong_path(&self) -> bool {
+        self.flags & Self::WRONG_PATH != 0
     }
 
     flag_accessors! {
-        /// Whether this op was fetched down a mispredicted path.
-        wrong_path / set_wrong_path => WRONG_PATH;
         /// Branch tag consumed (branches only).
         br_tag / set_br_tag => BR_TAG;
         /// Store: address part selected for issue (in flight to the AGU).
@@ -279,19 +272,11 @@ impl HotInst {
         data_launched / set_data_launched => DATA_LAUNCHED;
         /// Store: data part finished (data present in the SQ).
         data_done / set_data_done => DATA_DONE;
-        /// Load: issued past an older store with an unknown address.
-        mem_speculated / set_mem_speculated => MEM_SPECULATED;
         /// Load: has performed its memory access.
         executed / set_executed => EXECUTED;
-        /// Branch: C-shadow resolved.
-        cshadow_resolved / set_cshadow_resolved => CSHADOW_RESOLVED;
         /// Masked out of selection until an untaint (STT) or data (NDA)
         /// broadcast unmasks it.
         taint_masked / set_taint_masked => TAINT_MASKED;
-        /// This load was speculative when it produced its value, so its
-        /// destination is a taint root (STT) / its broadcast is delayed
-        /// (NDA).
-        spec_source / set_spec_source => SPEC_SOURCE;
         /// Branch: the front end predicted this branch incorrectly
         /// (copied from the micro-op's pre-resolved outcome).
         is_mispredicted / set_mispredicted => MISPREDICTED;
@@ -311,7 +296,7 @@ const NO_U64: u64 = u64::MAX;
 #[derive(Clone, Copy, Debug)]
 pub struct ColdInst {
     /// The decoded micro-op.
-    pub op: MicroOp,
+    pub(crate) op: MicroOp,
     /// Trace index (`NO_U64` = injected wrong-path op).
     trace_idx: u64,
     /// STT-Rename: previous taint of the destination architectural
@@ -319,8 +304,6 @@ pub struct ColdInst {
     prev_taint: u64,
     /// Split-store address taint, packed (STT-Rename ablation, §9.2).
     addr_yrot: u64,
-    /// Split-store data taint, packed (STT-Rename ablation, §9.2).
-    data_yrot: u64,
     /// Cast token of the speculation shadow this op casts, `NO_U64` = none.
     shadow_token: u64,
     /// Previous mapping of the destination architectural register
@@ -342,7 +325,6 @@ impl ColdInst {
             trace_idx: trace_idx.map_or(NO_U64, |t| t as u64),
             prev_taint: NO_SEQ,
             addr_yrot: NO_SEQ,
-            data_yrot: NO_SEQ,
             shadow_token: NO_U64,
             prev_preg: NO_PREG,
             pht_index: u32::MAX,
@@ -352,31 +334,31 @@ impl ColdInst {
     /// The stashed fetch-time PHT index, if the modelled predictor
     /// indexed this branch at dispatch.
     #[must_use]
-    pub fn pht_index(&self) -> Option<u32> {
+    pub(crate) fn pht_index(&self) -> Option<u32> {
         (self.pht_index != u32::MAX).then_some(self.pht_index)
     }
 
     /// Stashes the fetch-time PHT index.
-    pub fn set_pht_index(&mut self, idx: u32) {
+    pub(crate) fn set_pht_index(&mut self, idx: u32) {
         debug_assert!(idx != u32::MAX);
         self.pht_index = idx;
     }
 
     /// Index into the trace, `None` for injected wrong-path ops.
     #[must_use]
-    pub fn trace_idx(&self) -> Option<usize> {
+    pub(crate) fn trace_idx(&self) -> Option<usize> {
         (self.trace_idx != NO_U64).then_some(self.trace_idx as usize)
     }
 
     /// Previous mapping of the destination architectural register (freed
     /// at commit, restored on squash).
     #[must_use]
-    pub fn prev_preg(&self) -> Option<PhysReg> {
+    pub(crate) fn prev_preg(&self) -> Option<PhysReg> {
         (self.prev_preg != NO_PREG).then(|| PhysReg::new(self.prev_preg))
     }
 
     /// Records the previous destination mapping.
-    pub fn set_prev_preg(&mut self, p: PhysReg) {
+    pub(crate) fn set_prev_preg(&mut self, p: PhysReg) {
         debug_assert!(p.index() < NO_PREG as usize);
         self.prev_preg = p.index() as u16;
     }
@@ -384,12 +366,12 @@ impl ColdInst {
     /// STT-Rename: taint the destination architectural register held
     /// before this op (restored on squash walk-back).
     #[must_use]
-    pub fn prev_taint(&self) -> Option<Seq> {
+    pub(crate) fn prev_taint(&self) -> Option<Seq> {
         (self.prev_taint != NO_SEQ).then(|| Seq::new(self.prev_taint))
     }
 
     /// Records the previous destination taint.
-    pub fn set_prev_taint(&mut self, t: Option<Seq>) {
+    pub(crate) fn set_prev_taint(&mut self, t: Option<Seq>) {
         self.prev_taint = t.map_or(NO_SEQ, |s| {
             debug_assert!(s.value() != NO_SEQ, "Seq 0 is the packed None");
             s.value()
@@ -398,32 +380,25 @@ impl ColdInst {
 
     /// Split-store address taint (STT-Rename ablation, §9.2).
     #[must_use]
-    pub fn addr_yrot(&self) -> Option<Seq> {
+    pub(crate) fn addr_yrot(&self) -> Option<Seq> {
         (self.addr_yrot != NO_SEQ).then(|| Seq::new(self.addr_yrot))
     }
 
-    /// Split-store data taint (STT-Rename ablation, §9.2).
-    #[must_use]
-    pub fn data_yrot(&self) -> Option<Seq> {
-        (self.data_yrot != NO_SEQ).then(|| Seq::new(self.data_yrot))
-    }
-
-    /// Records the split-store taints.
-    pub fn set_split_yrots(&mut self, addr: Option<Seq>, data: Option<Seq>) {
+    /// Records the split-store address taint.
+    pub(crate) fn set_addr_yrot(&mut self, addr: Option<Seq>) {
         self.addr_yrot = addr.map_or(NO_SEQ, Seq::value);
-        self.data_yrot = data.map_or(NO_SEQ, Seq::value);
     }
 
     /// Cast token of the speculation shadow this op casts (branches,
     /// stores, and loads under the Futuristic threat model): resolves the
     /// shadow in O(1) instead of by sequence-number search.
     #[must_use]
-    pub fn shadow_token(&self) -> Option<u64> {
+    pub(crate) fn shadow_token(&self) -> Option<u64> {
         (self.shadow_token != NO_U64).then_some(self.shadow_token)
     }
 
     /// Records the shadow cast token.
-    pub fn set_shadow_token(&mut self, token: u64) {
+    pub(crate) fn set_shadow_token(&mut self, token: u64) {
         debug_assert!(token != NO_U64);
         self.shadow_token = token;
     }
@@ -433,6 +408,15 @@ impl ColdInst {
 mod tests {
     use super::*;
     use sb_isa::{ArchReg, MicroOp};
+
+    impl HotInst {
+        /// Whether this (store) op has finished both parts. Non-stores use
+        /// `phase` alone.
+        fn store_fully_issued(&self) -> bool {
+            let both = Self::ADDR_DONE | Self::DATA_DONE;
+            self.flags & both == both
+        }
+    }
 
     #[test]
     fn new_inst_is_waiting_and_clean() {

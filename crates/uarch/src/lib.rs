@@ -31,7 +31,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cancel;
+mod cancel;
 mod config;
 mod core;
 mod frontend;
@@ -44,12 +44,7 @@ mod sched;
 
 pub use crate::core::Core;
 pub use cancel::{CancelToken, CANCEL_POLL_CYCLES};
-pub use config::{
-    ConfigError, CoreConfig, Fidelity, PredictorConfig, SchedulerKind, SIM_RESULTS_REVISION,
-};
-pub use frontend::{Fetched, Frontend};
-pub use inst::{ColdInst, HotInst, Phase};
-pub use memdep::MemDepPredictor;
-pub use predictor::{PredEvents, Prediction, Predictor};
-pub use rename::{FreeList, Rat};
+pub use config::{CoreConfig, Fidelity, PredictorConfig, SchedulerKind, SIM_RESULTS_REVISION};
+pub use inst::{ColdInst, HotInst};
+pub use predictor::Predictor;
 pub use rob::{RobArena, RobHandle};

@@ -22,10 +22,9 @@ use std::hash::BuildHasherDefault;
 /// of a PC). The table is bounded; at capacity it resets, and offenders
 /// re-train on their next violation.
 #[derive(Clone, Debug)]
-pub struct MemDepPredictor {
+pub(crate) struct MemDepPredictor {
     violators: HashSet<usize, BuildHasherDefault<MixHasher>>,
     capacity: usize,
-    trained: u64,
 }
 
 impl MemDepPredictor {
@@ -35,37 +34,29 @@ impl MemDepPredictor {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "predictor needs capacity");
         MemDepPredictor {
             violators: HashSet::default(),
             capacity,
-            trained: 0,
         }
     }
 
     /// Whether the load at `trace_idx` may speculatively bypass an older
     /// store with an unknown address.
     #[must_use]
-    pub fn may_bypass(&self, trace_idx: usize) -> bool {
+    pub(crate) fn may_bypass(&self, trace_idx: usize) -> bool {
         // Fast path: most runs never record a violation, and this check
         // sits on the load-issue hot path.
         self.violators.is_empty() || !self.violators.contains(&trace_idx)
     }
 
     /// Records a forwarding violation by the load at `trace_idx`.
-    pub fn train_violation(&mut self, trace_idx: usize) {
+    pub(crate) fn train_violation(&mut self, trace_idx: usize) {
         if self.violators.len() >= self.capacity && !self.violators.contains(&trace_idx) {
             self.violators.clear();
         }
         self.violators.insert(trace_idx);
-        self.trained += 1;
-    }
-
-    /// Total violations trained (diagnostics).
-    #[must_use]
-    pub fn violations_trained(&self) -> u64 {
-        self.trained
     }
 }
 
@@ -85,7 +76,6 @@ mod tests {
         p.train_violation(42);
         assert!(!p.may_bypass(42));
         assert!(p.may_bypass(43), "other loads unaffected");
-        assert_eq!(p.violations_trained(), 1);
     }
 
     #[test]

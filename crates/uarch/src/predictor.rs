@@ -21,14 +21,14 @@ use sb_mem::CacheChangeKind;
 
 /// What the predictor said about one fetched branch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Prediction {
+pub(crate) struct Prediction {
     /// Predicted direction (PHT counter ≥ 2).
-    pub taken: bool,
+    pub(crate) taken: bool,
     /// Predicted target, if the BTB holds an entry whose tag matches the
     /// branch pc. `None` on a BTB miss — a taken branch with no target
     /// prediction is necessarily a mispredict (the frontend cannot have
     /// followed it).
-    pub target: Option<u64>,
+    pub(crate) target: Option<u64>,
 }
 
 /// Fixed-capacity buffer of predictor-state change events produced by one
@@ -59,18 +59,6 @@ impl PredEvents {
     /// The recorded `(kind, table index)` events, in occurrence order.
     pub fn iter(&self) -> impl Iterator<Item = (CacheChangeKind, u64)> + '_ {
         self.buf[..self.len].iter().copied()
-    }
-
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the training step changed no observable state.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -123,14 +111,14 @@ impl Predictor {
 
     /// The direct-mapped BTB index for a branch at `pc`.
     #[must_use]
-    pub fn btb_index(&self, pc: u64) -> u32 {
+    pub(crate) fn btb_index(&self, pc: u64) -> u32 {
         (pc & (self.btb.len() as u64 - 1)) as u32
     }
 
     /// Predicts direction and target for a branch at `pc` without changing
     /// any state.
     #[must_use]
-    pub fn predict(&self, pc: u64) -> Prediction {
+    pub(crate) fn predict(&self, pc: u64) -> Prediction {
         let taken = self.pht[self.pht_index(pc) as usize] >= 2;
         let target = match self.btb[self.btb_index(pc) as usize] {
             Some((tag, tgt)) if tag == pc => Some(tgt),
@@ -200,24 +188,23 @@ impl Predictor {
         }
         ev
     }
-
-    /// The current PHT counter value at `idx` (tests / analysis).
-    #[must_use]
-    pub fn pht_counter(&self, idx: u32) -> u8 {
-        self.pht[idx as usize]
-    }
-
-    /// The BTB entry at `idx` as `(tag pc, target)`, if live (tests /
-    /// analysis).
-    #[must_use]
-    pub fn btb_entry(&self, idx: u32) -> Option<(u64, u64)> {
-        self.btb[idx as usize]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Predictor {
+        /// The current PHT counter value at `idx`.
+        fn pht_counter(&self, idx: u32) -> u8 {
+            self.pht[idx as usize]
+        }
+
+        /// The BTB entry at `idx` as `(tag pc, target)`, if live.
+        fn btb_entry(&self, idx: u32) -> Option<(u64, u64)> {
+            self.btb[idx as usize]
+        }
+    }
 
     #[test]
     fn cold_predictor_says_not_taken_no_target() {
@@ -249,7 +236,7 @@ mod tests {
         assert_eq!(p.pht_counter(idx), 3);
         // Saturated + identical BTB entry: training is silent.
         let ev = p.train(idx, 0x40, true, 0x80);
-        assert!(ev.is_empty());
+        assert_eq!(ev.iter().count(), 0);
         assert_eq!(p.pht_counter(idx), 3);
     }
 
@@ -264,7 +251,7 @@ mod tests {
         );
         assert_eq!(p.pht_counter(idx), 0);
         let ev = p.train(idx, 0x40, false, 0);
-        assert!(ev.is_empty());
+        assert_eq!(ev.iter().count(), 0);
     }
 
     #[test]

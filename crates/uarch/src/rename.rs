@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 /// The register alias table: architectural → physical mapping.
 #[derive(Clone, Debug)]
-pub struct Rat {
+pub(crate) struct Rat {
     map: [PhysReg; NUM_ARCH_REGS],
 }
 
@@ -16,7 +16,7 @@ impl Rat {
     /// Identity-initialized RAT: architectural register `i` maps to physical
     /// register `i`.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut map = [PhysReg::new(0); NUM_ARCH_REGS];
         for (i, slot) in map.iter_mut().enumerate() {
             *slot = PhysReg::new(i as u16);
@@ -26,13 +26,13 @@ impl Rat {
 
     /// Current mapping of `r`.
     #[must_use]
-    pub fn lookup(&self, r: ArchReg) -> PhysReg {
+    pub(crate) fn lookup(&self, r: ArchReg) -> PhysReg {
         self.map[r.index()]
     }
 
     /// Remaps `r` to `p`, returning the previous mapping (stored in the ROB
     /// entry for commit-time freeing and squash-time rollback).
-    pub fn remap(&mut self, r: ArchReg, p: PhysReg) -> PhysReg {
+    pub(crate) fn remap(&mut self, r: ArchReg, p: PhysReg) -> PhysReg {
         std::mem::replace(&mut self.map[r.index()], p)
     }
 }
@@ -48,9 +48,8 @@ impl Default for Rat {
 /// Registers `0..NUM_ARCH_REGS` start allocated (they back the initial RAT);
 /// the remainder are free.
 #[derive(Clone, Debug)]
-pub struct FreeList {
+pub(crate) struct FreeList {
     free: VecDeque<PhysReg>,
-    total: usize,
 }
 
 impl FreeList {
@@ -60,24 +59,23 @@ impl FreeList {
     ///
     /// Panics if `total` cannot back the architectural state.
     #[must_use]
-    pub fn new(total: usize) -> Self {
+    pub(crate) fn new(total: usize) -> Self {
         assert!(total > NUM_ARCH_REGS, "PRF must exceed architectural state");
         FreeList {
             free: (NUM_ARCH_REGS..total)
                 .map(|i| PhysReg::new(i as u16))
                 .collect(),
-            total,
         }
     }
 
     /// Pops a free register, or `None` (rename must stall).
-    pub fn allocate(&mut self) -> Option<PhysReg> {
+    pub(crate) fn allocate(&mut self) -> Option<PhysReg> {
         self.free.pop_front()
     }
 
     /// Returns a register to the pool (commit frees the *previous* mapping;
     /// squash frees the *new* mapping).
-    pub fn release(&mut self, p: PhysReg) {
+    pub(crate) fn release(&mut self, p: PhysReg) {
         debug_assert!(
             !self.free.contains(&p),
             "double free of physical register {p}"
@@ -87,14 +85,8 @@ impl FreeList {
 
     /// Free registers remaining.
     #[must_use]
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.free.len()
-    }
-
-    /// Total file size.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
     }
 }
 

@@ -37,9 +37,9 @@ use crate::inst::{ColdInst, HotInst};
 pub struct RobHandle {
     /// Arrival index: the count of ROB pushes when this entry was
     /// allocated (recycled by squashes, hence the generation check).
-    pub arrival: u64,
+    pub(crate) arrival: u64,
     /// Slot generation at allocation time.
-    pub gen: u32,
+    pub(crate) gen: u32,
 }
 
 /// The reorder buffer: a power-of-two ring of in-place instruction slots
@@ -100,7 +100,7 @@ impl RobArena {
     /// Arrival index of the oldest live entry (the position-0 base: the
     /// entry at position `i` has arrival `head_arrival() + i`).
     #[must_use]
-    pub fn head_arrival(&self) -> u64 {
+    pub(crate) fn head_arrival(&self) -> u64 {
         self.head
     }
 
@@ -130,7 +130,7 @@ impl RobArena {
 
     /// Mutable hot record at live position `idx`.
     #[inline]
-    pub fn hot_mut(&mut self, idx: usize) -> &mut HotInst {
+    pub(crate) fn hot_mut(&mut self, idx: usize) -> &mut HotInst {
         let slot = self.slot_at(idx) & (self.hot.len() - 1);
         &mut self.hot[slot]
     }
@@ -138,14 +138,14 @@ impl RobArena {
     /// Cold sidecar at live position `idx`.
     #[inline]
     #[must_use]
-    pub fn cold(&self, idx: usize) -> &ColdInst {
+    pub(crate) fn cold(&self, idx: usize) -> &ColdInst {
         let slot = self.slot_at(idx) & (self.cold.len() - 1);
         &self.cold[slot]
     }
 
     /// Mutable cold sidecar at live position `idx`.
     #[inline]
-    pub fn cold_mut(&mut self, idx: usize) -> &mut ColdInst {
+    pub(crate) fn cold_mut(&mut self, idx: usize) -> &mut ColdInst {
         let slot = self.slot_at(idx) & (self.cold.len() - 1);
         &mut self.cold[slot]
     }
@@ -153,14 +153,14 @@ impl RobArena {
     /// Oldest live hot record, if any.
     #[inline]
     #[must_use]
-    pub fn front(&self) -> Option<&HotInst> {
+    pub(crate) fn front(&self) -> Option<&HotInst> {
         (!self.is_empty()).then(|| self.hot(0))
     }
 
     /// Youngest live hot record, if any.
     #[inline]
     #[must_use]
-    pub fn back(&self) -> Option<&HotInst> {
+    pub(crate) fn back(&self) -> Option<&HotInst> {
         (!self.is_empty()).then(|| self.hot(self.len() - 1))
     }
 
@@ -187,7 +187,7 @@ impl RobArena {
     ///
     /// Panics if the arena is at capacity (dispatch checks occupancy
     /// before renaming).
-    pub fn alloc(&mut self) -> (RobHandle, &mut HotInst, &mut ColdInst) {
+    pub(crate) fn alloc(&mut self) -> (RobHandle, &mut HotInst, &mut ColdInst) {
         assert!(self.len() < self.capacity, "ROB arena overflow");
         let arrival = self.tail;
         let slot = self.slot_of(arrival);

@@ -45,75 +45,71 @@ pub const PROBE_BASE: u64 = 0x4000_0000;
 pub const PROBE_STRIDE: u64 = 4096;
 
 /// Number of slots in the page-stride probe array.
-pub const PROBE_ENTRIES: usize = 16;
+pub(crate) const PROBE_ENTRIES: usize = 16;
 
 /// Base address of the line-stride probe array used by the
 /// prefetcher-amplification kernel (dense on purpose: the stride
 /// prefetcher must be able to run ahead inside one 4 KiB region).
-pub const AMP_BASE: u64 = 0x5000_0000;
+pub(crate) const AMP_BASE: u64 = 0x5000_0000;
 
 /// Stride between amplification probe slots: exactly one cache line.
-pub const AMP_STRIDE: u64 = 64;
+pub(crate) const AMP_STRIDE: u64 = 64;
 
 /// Number of slots in the line-stride probe array (covers the direct
 /// accesses plus the deepest prefetch run-ahead for any valid secret).
-pub const AMP_ENTRIES: usize = 32;
+pub(crate) const AMP_ENTRIES: usize = 32;
 
 /// Base address of the attacker's eviction-set priming region (the
 /// prime+probe kernel). Aligned so `EVSET_PRIME_BASE + k * 64` maps to L2
 /// set `k` (and L1 set `k % 64`).
-pub const EVSET_PRIME_BASE: u64 = 0x6000_0000;
+pub(crate) const EVSET_PRIME_BASE: u64 = 0x6000_0000;
 
 /// Base address of the victim's secret-indexed region in the prime+probe
 /// kernel (same set alignment as the priming region, different tags).
-pub const EVSET_TARGET_BASE: u64 = 0x7000_0000;
+pub(crate) const EVSET_TARGET_BASE: u64 = 0x7000_0000;
 
 /// Stride between two addresses mapping to the *same* L2 set
 /// (1024 sets × 64-byte lines).
-pub const EVSET_SET_STRIDE: u64 = 0x1_0000;
+pub(crate) const EVSET_SET_STRIDE: u64 = 0x1_0000;
 
 /// Ways the attacker primes per set — the L2 (and L1D) associativity, so a
 /// primed set is exactly full.
-pub const EVSET_WAYS: usize = 8;
+pub(crate) const EVSET_WAYS: usize = 8;
 
 /// First L2 set the prime+probe channel uses. Offsetting the channel keeps
 /// the kernel's helper lines (secret buffer, bounds-check operand — all
 /// set 0 by construction) out of the monitored sets.
-pub const EVSET_SET_OFFSET: usize = 8;
+pub(crate) const EVSET_SET_OFFSET: usize = 8;
 
 /// Base address of the contention kernel's secret-indexed page array.
-pub const CONT_BASE: u64 = 0x8000_0000;
+pub(crate) const CONT_BASE: u64 = 0x8000_0000;
 
 /// Stride between contention probe slots (one 4 KiB page per secret value,
 /// so the transient burst and its prefetch run-ahead stay inside one slot).
-pub const CONT_STRIDE: u64 = 4096;
+pub(crate) const CONT_STRIDE: u64 = 4096;
 
 /// Number of slots in the contention channel.
-pub const CONT_ENTRIES: usize = 16;
-
-/// Loads in the contention kernel's transient burst (each a demand L1
-/// miss, so each occupies an MSHR for its fill's full latency).
-pub const CONT_BURST: usize = 3;
+pub(crate) const CONT_ENTRIES: usize = 16;
 
 /// Base pc of the v2 kernels' secret-indexed transient branches. A
 /// multiple of the PHT size, so with [`PredictorParams::v2_default`]'s
 /// 64-entry PHT (and `ghr_bits = 0`) the branch at `PHT_PC_BASE + s`
 /// trains PHT index `s` exactly — and, being also a multiple of the
 /// 16-entry BTB, BTB index `s` for `s < 16`.
-pub const PHT_PC_BASE: u64 = 0x100;
+pub(crate) const PHT_PC_BASE: u64 = 0x100;
 
 /// Pc of the v2 kernels' transient-window branch: PHT index 48, safely
 /// outside the 16-slot predictor channel so its own (non-transient)
 /// training never collides with the judged slots.
-pub const PHT_WINDOW_PC: u64 = PHT_PC_BASE + 48;
+pub(crate) const PHT_WINDOW_PC: u64 = PHT_PC_BASE + 48;
 
 /// Victim branch pc in the BTB-injection kernel (BTB index 0).
-pub const BTB_VICTIM_PC: u64 = 0x40;
+pub(crate) const BTB_VICTIM_PC: u64 = 0x40;
 
 /// Attacker branch pc in the BTB-injection kernel: same BTB index as the
 /// victim (16 entries apart), different tag — the aliasing that makes
 /// cross-training displace the victim's entry.
-pub const BTB_ATTACKER_PC: u64 = BTB_VICTIM_PC + 16;
+pub(crate) const BTB_ATTACKER_PC: u64 = BTB_VICTIM_PC + 16;
 
 /// The predictor geometry a kernel requires the core to model, as plain
 /// parameters (sb-workloads does not depend on sb-uarch; experiment and
@@ -133,7 +129,7 @@ impl PredictorParams {
     /// global history (so PHT indices equal `pc - PHT_PC_BASE` and the
     /// channel decode is exact).
     #[must_use]
-    pub fn v2_default() -> Self {
+    pub(crate) fn v2_default() -> Self {
         PredictorParams {
             pht_entries: 64,
             btb_entries: 16,
@@ -148,9 +144,9 @@ impl PredictorParams {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeChannel {
     /// First slot's address.
-    pub base: u64,
+    pub(crate) base: u64,
     /// Bytes between consecutive slots.
-    pub stride: u64,
+    pub(crate) stride: u64,
     /// Number of slots.
     pub entries: usize,
 }
@@ -168,7 +164,7 @@ impl ProbeChannel {
 
     /// The dense line-stride channel of the prefetch-amplification kernel.
     #[must_use]
-    pub fn line_stride() -> Self {
+    pub(crate) fn line_stride() -> Self {
         ProbeChannel {
             base: AMP_BASE,
             stride: AMP_STRIDE,
@@ -180,7 +176,7 @@ impl ProbeChannel {
     /// attacker's first-primed line of L2 set `EVSET_SET_OFFSET + s` — the
     /// LRU victim a transient fill of that set must evict.
     #[must_use]
-    pub fn eviction_set() -> Self {
+    pub(crate) fn eviction_set() -> Self {
         ProbeChannel {
             base: EVSET_PRIME_BASE + (EVSET_SET_OFFSET as u64) * 64,
             stride: 64,
@@ -191,7 +187,7 @@ impl ProbeChannel {
     /// The page-stride channel of the MSHR-contention kernel: slot `s`
     /// covers the page whose lines the transient burst misses on.
     #[must_use]
-    pub fn contention_pages() -> Self {
+    pub(crate) fn contention_pages() -> Self {
         ProbeChannel {
             base: CONT_BASE,
             stride: CONT_STRIDE,
@@ -205,7 +201,7 @@ impl ProbeChannel {
     /// `PHT_PC_BASE + s`, both the PHT counter and the BTB entry a
     /// transient branch trains land in slot `s`.
     #[must_use]
-    pub fn predictor_state() -> Self {
+    pub(crate) fn predictor_state() -> Self {
         ProbeChannel {
             base: 0,
             stride: 1,
@@ -213,15 +209,9 @@ impl ProbeChannel {
         }
     }
 
-    /// Address of probe slot `i`.
-    #[must_use]
-    pub fn slot_addr(&self, i: usize) -> u64 {
-        self.base + self.stride * i as u64
-    }
-
     /// Decodes an event address into its probe slot, if it falls inside
-    /// the channel — the inverse of [`ProbeChannel::slot_addr`] and the
-    /// exact slot arithmetic of `LeakageObserver::transient_slots` /
+    /// the channel (slot `i` covers `[base + i*stride, base + (i+1)*stride)`):
+    /// the exact slot arithmetic of `LeakageObserver::transient_slots` /
     /// `ContentionObserver::transient_mshr_slots`, shared here so the
     /// dynamic observers and the static analyzer can never drift on how
     /// addresses map to slots.
@@ -518,7 +508,7 @@ pub fn ssb_kernel(secret: usize) -> AttackKernel {
 ///
 /// Panics if `secret >= 16`.
 #[must_use]
-pub fn store_forward_kernel(secret: usize) -> AttackKernel {
+pub(crate) fn store_forward_kernel(secret: usize) -> AttackKernel {
     assert!(secret < PROBE_ENTRIES, "probe array has 16 slots");
     let mut b = TraceBuilder::new("store-forward");
     const BUF: u64 = 0x2300_0000;
@@ -571,7 +561,7 @@ pub fn store_forward_kernel(secret: usize) -> AttackKernel {
 ///
 /// Panics if `secret >= 16`.
 #[must_use]
-pub fn nested_speculation_kernel(secret: usize) -> AttackKernel {
+pub(crate) fn nested_speculation_kernel(secret: usize) -> AttackKernel {
     assert!(secret < PROBE_ENTRIES, "probe array has 16 slots");
     let mut b = TraceBuilder::new("nested-speculation");
 
@@ -681,7 +671,7 @@ pub fn prime_probe_kernel(secret: usize) -> AttackKernel {
     }
 }
 
-/// MSHR contention: the transient path bursts `CONT_BURST` demand misses
+/// MSHR contention: the transient path bursts three demand misses
 /// into the secret's page, occupying miss-status holding registers for the
 /// fills' full latency. The judged observable is *which MSHRs squashed
 /// instructions held* (`sb_mem::ContentionObserver`), a resource-pressure
@@ -692,8 +682,8 @@ pub fn prime_probe_kernel(secret: usize) -> AttackKernel {
 /// NDA and both STT variants must close it exactly like the cache-fill
 /// channels: the burst addresses derive from transiently loaded data.
 ///
-/// **Secret address set:** the `CONT_BURST` lines
-/// `CONT_BASE + secret * 4096 + k * 64` (`k < CONT_BURST`) — all inside
+/// **Secret address set:** the three lines
+/// `CONT_BASE + secret * 4096 + k * 64` (`k < 3`) — all inside
 /// channel slot `secret`, as is their worst-case prefetch run-ahead.
 ///
 /// # Panics
@@ -1026,6 +1016,17 @@ pub fn attack_battery(secret: usize) -> Vec<AttackKernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Loads in the contention kernel's transient burst (each a demand L1
+    /// miss, so each occupies an MSHR for its fill's full latency).
+    const CONT_BURST: usize = 3;
+
+    impl ProbeChannel {
+        /// Address of probe slot `i`.
+        fn slot_addr(&self, i: usize) -> u64 {
+            self.base + self.stride * i as u64
+        }
+    }
 
     #[test]
     fn spectre_kernel_shape() {

@@ -107,7 +107,7 @@ impl Fz {
 
 /// A spectre-v1 variant: fillers everywhere, variable window length.
 #[must_use]
-pub fn spectre_v1_variant(seed: u64) -> AttackKernel {
+pub(crate) fn spectre_v1_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x51);
     let secret = fz.secret();
     let mut b = TraceBuilder::new("spectre-v1-fz");
@@ -143,7 +143,7 @@ pub fn spectre_v1_variant(seed: u64) -> AttackKernel {
 /// knob — the stride detectors need three accesses, longer bursts push
 /// the run-ahead deeper), variable window, fillers.
 #[must_use]
-pub fn spectre_v1_prefetch_variant(seed: u64) -> AttackKernel {
+pub(crate) fn spectre_v1_prefetch_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x9F);
     let secret = fz.secret();
     let burst = fz.rng.gen_range(3..6usize);
@@ -182,7 +182,7 @@ pub fn spectre_v1_prefetch_variant(seed: u64) -> AttackKernel {
 /// A speculative-store-bypass variant: variable store-address delay,
 /// fillers between the store and the bypassing load.
 #[must_use]
-pub fn ssb_variant(seed: u64) -> AttackKernel {
+pub(crate) fn ssb_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x4B);
     let secret = fz.secret();
     let mut b = TraceBuilder::new("ssb-fz");
@@ -214,7 +214,7 @@ pub fn ssb_variant(seed: u64) -> AttackKernel {
 
 /// A store→load-forwarding-transmitter variant.
 #[must_use]
-pub fn store_forward_variant(seed: u64) -> AttackKernel {
+pub(crate) fn store_forward_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x3C);
     let secret = fz.secret();
     let mut b = TraceBuilder::new("store-forward-fz");
@@ -252,7 +252,7 @@ pub fn store_forward_variant(seed: u64) -> AttackKernel {
 /// A nested-speculation variant: 1–3 nested correctly-predicted branches
 /// between the secret and the transmit (the shadow-nesting-depth knob).
 #[must_use]
-pub fn nested_speculation_variant(seed: u64) -> AttackKernel {
+pub(crate) fn nested_speculation_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x7E);
     let secret = fz.secret();
     let depth = fz.rng.gen_range(1..4usize);
@@ -291,7 +291,7 @@ pub fn nested_speculation_variant(seed: u64) -> AttackKernel {
 /// is the documented LRU victim and the channel slot), the remaining way
 /// order is shuffled per variant.
 #[must_use]
-pub fn prime_probe_variant(seed: u64) -> AttackKernel {
+pub(crate) fn prime_probe_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0xE5);
     let secret = fz.secret();
     // Fisher-Yates over ways 1..8; way 0 stays first.
@@ -333,7 +333,7 @@ pub fn prime_probe_variant(seed: u64) -> AttackKernel {
 /// An MSHR-contention variant: burst size 2–4 (all lines stay inside the
 /// secret's page slot, so the decode is burst-size independent).
 #[must_use]
-pub fn mshr_contention_variant(seed: u64) -> AttackKernel {
+pub(crate) fn mshr_contention_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0xA7);
     let secret = fz.secret();
     let burst = fz.rng.gen_range(2..5usize);
@@ -372,7 +372,7 @@ pub fn mshr_contention_variant(seed: u64) -> AttackKernel {
 /// load retires), so only the secret, scratch fillers, and the
 /// divide-chain length (1–2) vary.
 #[must_use]
-pub fn m_shadow_variant(seed: u64) -> AttackKernel {
+pub(crate) fn m_shadow_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0xD2);
     let secret = fz.secret();
     let mut b = TraceBuilder::new("m-shadow-fz");
@@ -430,7 +430,7 @@ impl Fz {
 /// around a fixed channel skeleton (the transient not-taken branch at the
 /// secret-indexed pc is the channel; its shape cannot vary).
 #[must_use]
-pub fn spectre_v2_pht_variant(seed: u64) -> AttackKernel {
+pub(crate) fn spectre_v2_pht_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x2B);
     let secret = fz.secret();
     let mut b = TraceBuilder::new("spectre-v2-pht-fz");
@@ -466,7 +466,7 @@ pub fn spectre_v2_pht_variant(seed: u64) -> AttackKernel {
 /// lengths vary (2–4 each; one aliasing branch already displaces the
 /// direct-mapped entry), plus the usual window and filler knobs.
 #[must_use]
-pub fn spectre_v2_btb_variant(seed: u64) -> AttackKernel {
+pub(crate) fn spectre_v2_btb_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0x68);
     let secret = fz.secret();
     let mut b = TraceBuilder::new("spectre-v2-btb-fz");
@@ -512,7 +512,7 @@ pub fn spectre_v2_btb_variant(seed: u64) -> AttackKernel {
 /// A spectre-v2 survives-squash variant: the transient branch is taken
 /// (PHT *and* BTB footprint); the target and the window knobs vary.
 #[must_use]
-pub fn spectre_v2_squash_variant(seed: u64) -> AttackKernel {
+pub(crate) fn spectre_v2_squash_variant(seed: u64) -> AttackKernel {
     let mut fz = Fz::new(seed ^ 0xC4);
     let secret = fz.secret();
     let target = 0x300 + fz.rng.gen_range(0..4u64) * 0x40;

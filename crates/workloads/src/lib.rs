@@ -25,13 +25,10 @@ mod profiles;
 mod store;
 
 pub use attacks::{
-    attack_battery, m_shadow_kernel, mshr_contention_kernel, nested_speculation_kernel,
-    prime_probe_kernel, spectre_v1_kernel, spectre_v1_prefetch_kernel, spectre_v2_btb_kernel,
-    spectre_v2_pht_kernel, spectre_v2_squash_kernel, ssb_kernel, store_forward_kernel,
-    AttackKernel, ChannelKind, PredictorParams, ProbeChannel, AMP_BASE, AMP_ENTRIES, AMP_STRIDE,
-    BTB_ATTACKER_PC, BTB_VICTIM_PC, CONT_BASE, CONT_BURST, CONT_ENTRIES, CONT_STRIDE,
-    EVSET_PRIME_BASE, EVSET_SET_OFFSET, EVSET_SET_STRIDE, EVSET_TARGET_BASE, EVSET_WAYS,
-    PHT_PC_BASE, PHT_WINDOW_PC, PROBE_BASE, PROBE_ENTRIES, PROBE_STRIDE,
+    attack_battery, m_shadow_kernel, mshr_contention_kernel, prime_probe_kernel, spectre_v1_kernel,
+    spectre_v1_prefetch_kernel, spectre_v2_btb_kernel, spectre_v2_pht_kernel,
+    spectre_v2_squash_kernel, ssb_kernel, AttackKernel, ChannelKind, ProbeChannel, PROBE_BASE,
+    PROBE_STRIDE,
 };
 pub use generator::{generate, generate_with, GeneratorKind};
 pub use profiles::{spec2017_profiles, AccessPattern, WorkloadProfile};

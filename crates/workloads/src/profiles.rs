@@ -114,7 +114,7 @@ impl WorkloadProfile {
     /// # Panics
     ///
     /// Panics on an invalid profile.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         let fracs = [
             self.load_frac,
             self.store_frac,

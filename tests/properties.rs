@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 use shadowbinding::core::{
-    BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintTracker, Scheme, ShadowKind,
-    SpeculationTracker,
+    BroadcastQueue, IssueTaintUnit, RenameGroupOp, RenameTaintTracker, Scheme, SpeculationTracker,
 };
 use shadowbinding::isa::{ArchReg, PhysReg, Seq, TraceBuilder};
 use shadowbinding::uarch::{Core, CoreConfig};
@@ -142,8 +141,7 @@ proptest! {
     fn frontier_is_monotone(resolutions in prop::collection::vec(0usize..24, 0..24)) {
         let mut t = SpeculationTracker::new();
         for i in 0..24u64 {
-            let kind = if i % 2 == 0 { ShadowKind::Control } else { ShadowKind::Data };
-            t.cast(Seq::new(i + 1), kind);
+            t.cast(Seq::new(i + 1));
         }
         let mut prev = Seq::ZERO;
         for r in resolutions {
