@@ -23,10 +23,12 @@
 //!   the scheme gates (`Scheme::is_secure`) and whether the model tracks
 //!   M-shadows; cells that agree on both share one verdict.
 //! * **The memory side.** Warmth (hit/miss), demand-miss MSHR
-//!   allocations, per-set occupancy → LRU eviction victims, and the
-//!   per-region stride-prefetcher streams are replayed abstractly,
-//!   mirroring `sb_mem`'s hierarchy (geometry read from
-//!   [`HierarchyConfig::rtl_default`], never duplicated).
+//!   allocations and per-set occupancy → LRU eviction victims are
+//!   replayed abstractly over `sb_mem`'s geometry (read from
+//!   [`HierarchyConfig::rtl_default`], never duplicated); the stride
+//!   prefetcher is not modelled at all but driven: the walk feeds every
+//!   access to `sb_mem`'s own [`StridePrefetcher`] and installs what it
+//!   emits.
 //!
 //! See `docs/ARCHITECTURE.md` ("Static security analysis") for the
 //! soundness argument and the known over-approximation sources.
@@ -34,10 +36,9 @@
 use crate::lattice::{AbsVal, Latency};
 use sb_core::{Scheme, ShadowKind, ThreatModel};
 use sb_isa::{ArchReg, MemAccess, MicroOp, MixHasher, OpClass, NUM_ARCH_REGS};
-use sb_mem::HierarchyConfig;
+use sb_mem::{HierarchyConfig, StridePrefetcher};
 use sb_uarch::Predictor;
 use sb_workloads::{AttackKernel, ChannelKind, ProbeChannel};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
@@ -100,16 +101,6 @@ impl Geometry {
     }
 }
 
-/// One per-region stride-prefetcher stream, mirroring `sb_mem`'s shared
-/// stream table exactly (both levels observe every demand access, so one
-/// table serves both degrees).
-#[derive(Clone, Copy, Debug)]
-struct Stream {
-    last: u64,
-    stride: i64,
-    confidence: u8,
-}
-
 /// A pending (not yet architecturally drained) store and the abstract
 /// facts forwarding and bypass detection need about it.
 #[derive(Clone, Copy, Debug)]
@@ -120,9 +111,9 @@ struct PendingStore {
     data_doomed: bool,
 }
 
-/// The full abstract machine state at one program point. The line sets,
-/// set lists and streams are only probed point-wise, never iterated, so
-/// they hash.
+/// The full abstract machine state at one program point. The line sets
+/// and set lists are only probed point-wise, never iterated, so they
+/// hash.
 #[derive(Debug)]
 struct AbsState {
     regs: [AbsVal; NUM_ARCH_REGS],
@@ -139,8 +130,11 @@ struct AbsState {
     l1_sets: SetLists,
     /// Per-L2-set resident lines in LRU order.
     l2_sets: SetLists,
-    /// Prefetcher streams, keyed by 4 KiB region.
-    streams: HashMap<u64, Stream, Mix>,
+    /// The stride prefetcher's stream table: `sb_mem`'s own, one table
+    /// for both levels at the larger degree (`None` when both are 0).
+    prefetcher: Option<StridePrefetcher>,
+    /// Recycled buffer for the prefetcher's targets.
+    prefetch_scratch: Vec<u64>,
     /// Whether an older demand-cold load is (abstractly) still in
     /// flight — the M-shadow condition for younger loads.
     older_cold_load: bool,
@@ -177,7 +171,11 @@ impl AbsState {
             warm_demand: lines(1),
             l1_sets: sets(),
             l2_sets: sets(),
-            streams: HashMap::with_capacity_and_hasher(ops, Mix::default()),
+            prefetcher: {
+                let degree = geom.l1_degree.max(geom.l2_degree);
+                (degree > 0).then(|| StridePrefetcher::new(degree))
+            },
+            prefetch_scratch: Vec::new(),
             older_cold_load: false,
             stores: Vec::new(),
             evictions: Vec::new(),
@@ -499,12 +497,13 @@ impl Interp {
         }
     }
 
-    /// Advances the per-region stride streams exactly as `sb_mem`'s
-    /// shared stream table does (both levels see
-    /// every demand access). Emissions install lines (L1 to the L1
-    /// degree, L2 to the L2 degree); on transient walks they are also
-    /// recorded as `may` events, and the one-stride target as the
-    /// episode's guaranteed run-ahead.
+    /// Feeds `addr` to the stride prefetcher — `sb_mem`'s own
+    /// [`StridePrefetcher`], so the table, its training and its capacity
+    /// clear are the simulator's by construction. Target `i` installs into
+    /// L1 (and L2) while `i < l1_degree` and into L2 alone up to the L2
+    /// degree, as `MemoryHierarchy` does. On transient walks each target
+    /// is also a `may` event, and the first (the one-stride target) is
+    /// the episode's guaranteed run-ahead.
     fn train_streams(
         &self,
         st: &mut AbsState,
@@ -512,58 +511,32 @@ impl Interp {
         ev: Option<&mut Events>,
         ep: Option<&mut Episode>,
     ) {
-        let region = addr >> 12;
-        let s = match st.streams.entry(region) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                e.insert(Stream {
-                    last: addr,
-                    stride: 0,
-                    confidence: 0,
-                });
-                return;
-            }
+        let Some(pf) = st.prefetcher.as_mut() else {
+            return;
         };
-        let stride = addr as i64 - s.last as i64;
-        s.last = addr;
-        if stride == 0 {
-            return;
-        }
-        if stride == s.stride {
-            s.confidence = s.confidence.saturating_add(1);
-        } else {
-            s.stride = stride;
-            s.confidence = 0;
-        }
-        if s.confidence < 1 {
-            return;
-        }
+        let mut targets = std::mem::take(&mut st.prefetch_scratch);
+        targets.clear();
+        pf.observe_into(addr, &mut targets);
         let mut ev = ev;
-        let mut first = None;
-        let max_degree = self.geom.l1_degree.max(self.geom.l2_degree);
-        for k in 1..=max_degree {
-            let Ok(target) = u64::try_from(addr as i64 + stride * k as i64) else {
-                continue;
-            };
-            first.get_or_insert(target);
+        for (i, &target) in targets.iter().enumerate() {
             let line = self.geom.line(target);
-            // The L1 prefetcher installs into both levels; the deeper L2
-            // degree reaches L2 only.
-            if k <= self.geom.l1_degree {
+            let into_l1 = i < self.geom.l1_degree;
+            if into_l1 {
                 st.warm_l1.insert(line);
             }
             st.warm_l2.insert(line);
             if let Some(ev) = ev.as_deref_mut() {
                 ev.cache_may.insert(target);
                 self.evict(st, Level::L2, line, ev, false);
-                if k <= self.geom.l1_degree {
+                if into_l1 {
                     self.evict(st, Level::L1, line, ev, false);
                 }
             }
         }
-        if let (Some(ep), Some(first)) = (ep, first) {
-            ep.runahead.insert(region, first);
+        if let (Some(ep), Some(&first)) = (ep, targets.first()) {
+            ep.runahead.insert(addr >> 12, first);
         }
+        st.prefetch_scratch = targets;
     }
 
     /// Resolves a transient episode's guaranteed prefetch run-ahead: the

@@ -11,7 +11,6 @@
 
 use sb_isa::Seq;
 use std::collections::VecDeque;
-use std::fmt;
 
 /// A seq-ordered queue of pending broadcasts with per-cycle bandwidth.
 ///
@@ -137,12 +136,6 @@ impl<T> BroadcastQueue<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-}
-
-impl<T> fmt::Display for BroadcastQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} pending", self.pending.len())
     }
 }
 

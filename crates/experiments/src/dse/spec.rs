@@ -553,12 +553,6 @@ impl SweepSpec {
     }
 }
 
-impl fmt::Display for SweepSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.canonical())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,5 @@
 //! A set-associative cache with true-LRU replacement.
 
-use std::fmt;
-
 /// Geometry and latency of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -16,12 +14,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Total capacity in bytes.
-    #[must_use]
-    pub(crate) fn capacity(&self) -> usize {
-        self.sets * self.ways * self.line_bytes
-    }
-
     /// A 32 KiB, 8-way, 64 B-line L1 data cache with a 4-cycle hit latency
     /// (the realistic latency the paper insists on in §9.5).
     #[must_use]
@@ -43,18 +35,6 @@ impl CacheConfig {
             line_bytes: 64,
             latency: 14,
         }
-    }
-}
-
-impl fmt::Display for CacheConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} KiB {}-way ({}-cycle)",
-            self.capacity() / 1024,
-            self.ways,
-            self.latency
-        )
     }
 }
 
@@ -264,8 +244,9 @@ mod tests {
 
     #[test]
     fn capacity_math() {
-        assert_eq!(CacheConfig::l1d_default().capacity(), 32 * 1024);
-        assert_eq!(CacheConfig::l2_default().capacity(), 512 * 1024);
+        let bytes = |c: CacheConfig| c.sets * c.ways * c.line_bytes;
+        assert_eq!(bytes(CacheConfig::l1d_default()), 32 * 1024);
+        assert_eq!(bytes(CacheConfig::l2_default()), 512 * 1024);
     }
 
     #[test]

@@ -40,3 +40,4 @@ mod prefetch;
 
 pub use hierarchy::{AccessOutcome, HierarchyConfig, MemoryHierarchy, ServedBy};
 pub use observer::{Attribution, CacheChangeKind, ContentionObserver, LeakageObserver};
+pub use prefetch::StridePrefetcher;

@@ -22,7 +22,7 @@ struct StreamEntry {
 
 /// A per-region stride detector with configurable prefetch degree.
 #[derive(Clone, Debug)]
-pub(crate) struct StridePrefetcher {
+pub struct StridePrefetcher {
     table: HashMap<u64, StreamEntry, BuildHasherDefault<MixHasher>>,
     degree: usize,
     max_entries: usize,
@@ -35,7 +35,7 @@ impl StridePrefetcher {
     ///
     /// Panics if `degree` is 0.
     #[must_use]
-    pub(crate) fn new(degree: usize) -> Self {
+    pub fn new(degree: usize) -> Self {
         assert!(degree > 0, "prefetch degree must be positive");
         StridePrefetcher {
             table: HashMap::default(),
@@ -47,7 +47,7 @@ impl StridePrefetcher {
     /// Observes a demand access and appends the addresses to prefetch to
     /// `out` (nothing until the stream is confident). The caller owns and
     /// recycles the buffer: this sits under every simulated memory access.
-    pub(crate) fn observe_into(&mut self, addr: u64, out: &mut Vec<u64>) {
+    pub fn observe_into(&mut self, addr: u64, out: &mut Vec<u64>) {
         let region = addr >> 12;
         // Single-lookup hit path: steady state is an existing stream, and
         // this sits under every simulated memory access.

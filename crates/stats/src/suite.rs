@@ -6,8 +6,6 @@
 //! module implements exactly that aggregation, plus per-benchmark
 //! normalization against a baseline run.
 
-use std::fmt;
-
 /// The result of running one benchmark on one (config, scheme) point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchResult {
@@ -38,12 +36,6 @@ impl BenchResult {
         } else {
             self.instructions as f64 / self.cycles as f64
         }
-    }
-}
-
-impl fmt::Display for BenchResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: IPC {:.3}", self.name, self.ipc())
     }
 }
 

@@ -9,8 +9,6 @@
 //! table 1, figure 6 and the later reports print the paper's values
 //! beside the measured ones.
 
-use std::fmt;
-
 /// Memory access pattern of a profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessPattern {
@@ -141,12 +139,6 @@ impl WorkloadProfile {
             self.name
         );
         assert!(self.footprint >= 4096, "{}: footprint too small", self.name);
-    }
-}
-
-impl fmt::Display for WorkloadProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
     }
 }
 
