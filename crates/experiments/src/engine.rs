@@ -435,13 +435,11 @@ impl<'s, 'a> TraceCells<'s, 'a> {
     /// trace out (before freeing it, so the count never runs ahead of
     /// memory) if it was the last.
     fn release(&self, trace: Option<Arc<Trace>>) {
-        #[cfg(test)]
         if let Some(last) = trace.and_then(Arc::into_inner) {
+            #[cfg(test)]
             self.resident.fetch_sub(1, Ordering::Relaxed);
             drop(last);
         }
-        #[cfg(not(test))]
-        drop(trace);
     }
 }
 

@@ -10,7 +10,9 @@
 //!
 //! The model is the one `sb-analysis` reasons about: true-LRU sets kept in
 //! recency order, and one stride table shared by the L1 and L2 prefetchers
-//! (both observe the same demand stream; only their degrees differ).
+//! (both observe the same demand stream; only their degrees differ). That
+//! table, [`StridePrefetcher`], is public for the analyzer alone: it feeds
+//! the table every abstract access instead of keeping a copy.
 //!
 //! Cross-crate data flow: `sb-uarch`'s LSU and commit stages call
 //! [`MemoryHierarchy::access`] for every simulated load/store

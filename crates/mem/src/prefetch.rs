@@ -1,6 +1,8 @@
 //! A stride prefetcher (the gem5 configuration the paper lists in Table 2
 //! uses stride prefetchers at both L1D and L2; both observe the same
-//! demand stream, so the hierarchy keeps one table for the two).
+//! demand stream, so the hierarchy keeps one table for the two). The
+//! static analyzer (`sb-analysis`) drives this same table, so its
+//! prefetch model is the simulator's by construction.
 //!
 //! Streams are tracked per 4 KiB region: when the same region shows two
 //! consecutive accesses with an identical stride, the prefetcher emits
@@ -14,16 +16,18 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 #[derive(Clone, Copy, Debug)]
-struct StreamEntry {
+struct RegionEntry {
     last_addr: u64,
     stride: i64,
     confidence: u8,
 }
 
-/// A per-region stride detector with configurable prefetch degree.
+/// A per-region stride detector with configurable prefetch degree. It
+/// tracks at most 64 regions; a new region arriving at a full table
+/// clears it.
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
-    table: HashMap<u64, StreamEntry, BuildHasherDefault<MixHasher>>,
+    table: HashMap<u64, RegionEntry, BuildHasherDefault<MixHasher>>,
     degree: usize,
     max_entries: usize,
 }
@@ -60,7 +64,7 @@ impl StridePrefetcher {
             // A fresh stream observes no stride and emits nothing.
             self.table.insert(
                 region,
-                StreamEntry {
+                RegionEntry {
                     last_addr: addr,
                     stride: 0,
                     confidence: 0,

@@ -181,15 +181,6 @@ mod tests {
     use super::*;
 
     impl SimStats {
-        /// Mispredictions per kilo-instruction.
-        fn mpki(&self) -> f64 {
-            if self.committed.get() == 0 {
-                0.0
-            } else {
-                1000.0 * self.branch_mispredicts.get() as f64 / self.committed.get() as f64
-            }
-        }
-
         /// L1D miss ratio over all L1D accesses.
         fn l1d_miss_ratio(&self) -> f64 {
             let total = self.l1d_hits.get() + self.l1d_misses.get();
@@ -230,14 +221,6 @@ mod tests {
         s.committed.add(300);
         s.cycles.add(200);
         assert!((s.ipc() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mpki_per_kiloinstruction() {
-        let mut s = SimStats::new();
-        s.committed.add(10_000);
-        s.branch_mispredicts.add(50);
-        assert!((s.mpki() - 5.0).abs() < 1e-12);
     }
 
     #[test]
