@@ -162,19 +162,6 @@ impl Default for SchemeConfig {
     }
 }
 
-impl fmt::Display for SchemeConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.scheme)?;
-        if self.split_store_taints {
-            write!(f, "+split-store")?;
-        }
-        match self.broadcast_bandwidth {
-            Some(b) => write!(f, " (bw {b})"),
-            None => write!(f, " (bw inf)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,8 +232,5 @@ mod tests {
         assert_eq!(Scheme::SttRename.to_string(), "STT-Rename");
         assert_eq!(Scheme::SttIssue.to_string(), "STT-Issue");
         assert_eq!(Scheme::Nda.to_string(), "NDA");
-        assert!(SchemeConfig::abstract_sim(Scheme::Nda)
-            .to_string()
-            .contains("bw inf"));
     }
 }

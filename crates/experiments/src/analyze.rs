@@ -1,142 +1,76 @@
-//! The `analyze-security` subsystem: the purely *static* counterpart of
-//! [`crate::security`]. It renders the same threat-model × scenario ×
-//! scheme matrix, but every cell comes from the abstract interpreter
-//! ([`sb_analysis::analyze_kernel`]) — zero cycles are simulated.
+//! The `analyze-security` subsystem: the *static* view of the security
+//! judge in [`crate::security`]. It judges the same threat-model ×
+//! scenario × scheme cells with the same claim rule and renders them
+//! through the same matrix renderer, but every cell's evidence comes from
+//! the abstract interpreter ([`sb_analysis::analyze_kernel`]) — zero
+//! cycles are simulated.
 //!
-//! Each cell carries the static `must`/`may` leak-slot bracket and a
-//! verdict mirroring the dynamic judge's rules:
+//! Each cell carries the static `must`/`may` leak-slot bracket, judged by
+//! the shared claim rule with `must` as the certain and `may` as the
+//! possible leak set: a secure scheme on a scenario its threat model
+//! claims must have an **empty `may` set**, and the Baseline (or a secure
+//! scheme outside the model's claim) a `must` set covering
+//! `expected_slots` and a `may` set inside `allowed_slots`. The view adds
+//! one check of its own, the analyzer invariant `must ⊆ may`.
 //!
-//! * a secure scheme on a scenario its threat model claims must have an
-//!   **empty `may` set** (nothing can leak);
-//! * the Baseline — and a secure scheme on a scenario outside the model's
-//!   claim — must have a `must` set covering the kernel's documented
-//!   signature (`expected_slots`) and a `may` set inside its documented
-//!   secret address set (`allowed_slots`).
-//!
-//! On top of the matrix, the *claims audit*
-//! ([`sb_analysis::audit_battery`]) recomputes every kernel's hand-written
-//! claim constants from the rules alone; any drift fails the verdict with
-//! a field-level diff. `analyze-security --self-check` extends the audit
-//! across every encodable secret and a spread of fuzzed attack variants,
-//! and `--perturb-claim` deliberately corrupts one kernel's constants to
-//! prove the audit trips (the CI negative-path smoke).
+//! The battery's *claims audit* ([`sb_analysis::audit_battery`])
+//! recomputes every kernel's hand-written claim constants from the rules
+//! alone; unlike the dynamic view, this view fails the verdict on any
+//! drift, with a field-level diff. `analyze-security --self-check`
+//! extends the audit across every encodable secret and a spread of fuzzed
+//! attack variants, and `--perturb-claim` deliberately corrupts one
+//! kernel's constants to prove the audit trips (the CI negative-path
+//! smoke).
 
-use crate::render::format_table;
 use crate::reports::Report;
-use crate::security::BATTERY_SECRET;
+use crate::security::{
+    claim_failures, csv_slots, points, render_matrix, Layout, Verdict, BATTERY_SECRET,
+};
 use sb_analysis::{analyze_kernel, audit_battery, ClaimDrift, StaticLeaks};
-use sb_core::{Scheme, ThreatModel};
+use sb_core::ThreatModel;
 use sb_workloads::{attack_battery, fuzz_attacks::fuzz_battery, AttackKernel};
-use std::fmt::Write as _;
-
-/// The static verdict for one `(threat model, scenario, scheme)` cell.
-#[derive(Clone, Debug)]
-pub(crate) struct StaticCell {
-    /// Kernel name (`spectre-v1`, `ssb`, ...).
-    pub(crate) scenario: String,
-    /// Scheme under analysis.
-    pub(crate) scheme: Scheme,
-    /// Threat model the cell was analyzed under.
-    pub(crate) threat_model: ThreatModel,
-    /// Whether `threat_model`'s protection claim covers the scenario.
-    pub(crate) claimed: bool,
-    /// The static `must ⊆ dynamic ⊆ may` bracket.
-    pub(crate) bounds: StaticLeaks,
-    /// Whether the claims audit reproduced this kernel's constants.
-    pub(crate) claims_verified: bool,
-    /// Whether the cell satisfies the (static) security property.
-    pub(crate) pass: bool,
-    /// Human-readable failure explanations (empty when `pass`).
-    pub(crate) failures: Vec<String>,
-}
-
-/// The full static matrix plus the battery-wide claims audit.
-#[derive(Clone, Debug)]
-pub struct StaticVerdict {
-    /// One cell per point, threat-model-major then battery-major.
-    pub(crate) cells: Vec<StaticCell>,
-    /// Claim constants the audit could not reproduce (empty = verified).
-    pub(crate) drifts: Vec<ClaimDrift>,
-    /// Whether every cell passes and the audit found no drift.
-    pub ok: bool,
-}
 
 /// Statically analyzes the standard battery (the same kernels and secret
 /// `verify-security` simulates) under the requested threat models.
 #[cfg(test)]
-fn analyze_security(threat_models: &[ThreatModel]) -> StaticVerdict {
+fn analyze_security(threat_models: &[ThreatModel]) -> Verdict<StaticLeaks> {
     analyze_battery(&attack_battery(BATTERY_SECRET), threat_models)
 }
 
 /// Statically analyzes an arbitrary battery: every `(model, kernel,
-/// scheme)` point gets a `StaticCell`, and the whole battery one claims
-/// audit.
+/// scheme)` point gets a cell judged on its `must`/`may` bracket, and the
+/// whole battery one claims audit whose drifts fail the verdict.
 #[must_use]
-pub fn analyze_battery(battery: &[AttackKernel], threat_models: &[ThreatModel]) -> StaticVerdict {
-    let drifts = audit_battery(battery);
-    let mut cells = Vec::new();
-    for &model in threat_models {
-        for kernel in battery {
-            let name = kernel.trace.name();
-            let claims_verified = !drifts.iter().any(|d| d.kernel == name);
-            for scheme in Scheme::all() {
-                let bounds = analyze_kernel(kernel, scheme, model);
-                let claimed = kernel.claimed_under(model);
-                let mut failures = Vec::new();
-                if !bounds.must.is_subset(&bounds.may) {
-                    failures.push(format!(
-                        "analyzer invariant broken: must {:?} ⊄ may {:?}",
-                        bounds.must, bounds.may
-                    ));
-                }
-                if scheme.is_secure() && claimed {
-                    if !bounds.may.is_empty() {
-                        failures.push(format!(
-                            "secure scheme may leak slots {:?} under its claimed \
-                             {model} model",
-                            bounds.may
-                        ));
-                    }
-                } else {
-                    let who = if scheme.is_secure() {
-                        "out-of-claim scheme"
-                    } else {
-                        "baseline"
-                    };
-                    for &slot in &kernel.expected_slots {
-                        if !bounds.must.contains(&slot) {
-                            failures.push(format!(
-                                "{who}: expected slot {slot} is not statically \
-                                 guaranteed to leak (must = {:?})",
-                                bounds.must
-                            ));
-                        }
-                    }
-                    for &slot in &bounds.may {
-                        if !kernel.allowed_slots.contains(&slot) {
-                            failures.push(format!(
-                                "{who}: may-leak slot {slot} escapes the documented \
-                                 secret address set {:?}",
-                                kernel.allowed_slots
-                            ));
-                        }
-                    }
-                }
-                cells.push(StaticCell {
-                    scenario: name.to_string(),
-                    scheme,
-                    threat_model: model,
-                    claimed,
-                    pass: failures.is_empty(),
-                    bounds,
-                    claims_verified,
-                    failures,
-                });
+pub fn analyze_battery(
+    battery: &[AttackKernel],
+    threat_models: &[ThreatModel],
+) -> Verdict<StaticLeaks> {
+    let (points, drifts) = points(battery, threat_models);
+    let cells = points
+        .iter()
+        .map(|p| {
+            let bounds = analyze_kernel(p.kernel, p.scheme, p.threat_model);
+            let mut failures = claim_failures(
+                p.kernel,
+                p.scheme,
+                p.threat_model,
+                &bounds.must,
+                &bounds.may,
+            );
+            if !bounds.must.is_subset(&bounds.may) {
+                failures.push(format!(
+                    "analyzer invariant broken: must {:?} ⊄ may {:?}",
+                    bounds.must, bounds.may
+                ));
             }
-        }
+            p.cell(failures, bounds)
+        })
+        .collect();
+    Verdict {
+        cells,
+        drifts,
+        job_failures: Vec::new(),
     }
-    let ok = drifts.is_empty() && cells.iter().all(|c| c.pass);
-    StaticVerdict { cells, drifts, ok }
 }
 
 /// Deliberately corrupts one kernel's `expected_slots` so the claims
@@ -186,111 +120,40 @@ pub fn extended_claims_audit() -> ExtendedAudit {
 }
 
 /// Renders the static verdict as one must/may matrix per threat model
-/// plus a combined CSV (`static_security_matrix.csv`), symmetric to
-/// [`crate::security::security_matrix_report`].
+/// plus `static_security_matrix.csv`.
 #[must_use]
-pub fn static_matrix_report(verdict: &StaticVerdict) -> Report {
-    let mut csv = String::from(
-        "threat_model,scenario,scheme,claimed,must_slots,may_slots,\
-         static_pass,claims_source\n",
-    );
-    let mut failures = Vec::new();
-    let mut text = format!(
-        "Static security analysis: abstract-interpretation leak bounds per \
-         threat model, scenario and scheme (secret {BATTERY_SECRET}; zero \
-         cycles simulated; each cell is the must/may probe-slot bracket \
-         every dynamic measurement must fall inside; secure schemes must \
-         show an empty may set on every scenario the model claims; * marks \
-         a scenario outside the model's claim, where the channel must \
-         still provably transmit)\n"
-    );
-    let models: Vec<ThreatModel> = {
-        let mut seen = Vec::new();
-        for c in &verdict.cells {
-            if !seen.contains(&c.threat_model) {
-                seen.push(c.threat_model);
-            }
-        }
-        seen
-    };
-    let fmt_slots = |slots: &std::collections::BTreeSet<usize>| {
-        slots
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("|")
-    };
-    for model in models {
-        let model_cells: Vec<&StaticCell> = verdict
-            .cells
-            .iter()
-            .filter(|c| c.threat_model == model)
-            .collect();
-        let scenarios: Vec<String> = {
-            let mut seen = Vec::new();
-            for c in &model_cells {
-                if !seen.contains(&c.scenario) {
-                    seen.push(c.scenario.clone());
-                }
-            }
-            seen
-        };
-        let mut rows = vec![{
-            let mut h = vec![format!("Scenario [{model}]")];
-            h.extend(Scheme::all().iter().map(|s| s.label().to_string()));
-            h
-        }];
-        for scenario in &scenarios {
-            let mut row = vec![scenario.clone()];
-            for scheme in Scheme::all() {
-                let cell = model_cells
-                    .iter()
-                    .find(|c| &c.scenario == scenario && c.scheme == scheme)
-                    .expect("analysis cannot lose cells");
-                row.push(format!(
-                    "{}must/{}may{} {}",
-                    cell.bounds.must.len(),
-                    cell.bounds.may.len(),
-                    if cell.claimed { "" } else { "*" },
-                    if cell.pass { "ok" } else { "FAIL" }
-                ));
-                csv.push_str(&format!(
-                    "{model},{scenario},{scheme},{},{},{},{},{}\n",
-                    cell.claimed,
-                    fmt_slots(&cell.bounds.must),
-                    fmt_slots(&cell.bounds.may),
-                    cell.pass,
-                    if cell.claims_verified {
-                        "static"
-                    } else {
-                        "hand-written"
-                    }
-                ));
-                failures.extend(
-                    cell.failures
-                        .iter()
-                        .map(|f| format!("  [{model}] {scenario} / {scheme}: {f}")),
-                );
-            }
-            rows.push(row);
-        }
-        let _ = write!(text, "{}", format_table(&rows));
-        text.push('\n');
-    }
-    failures.extend(verdict.drifts.iter().map(|d| format!("  {d}")));
-    if verdict.ok {
-        text.push_str(
-            "STATICALLY VERIFIED: every hand-written claim reproduced from \
-             the rules; secure schemes provably leak nothing their threat \
-             model claims, with zero simulation.\n",
-        );
-    } else {
-        let _ = write!(text, "FAILED:\n{}\n", failures.join("\n"));
-    }
-    Report {
-        text,
-        csv: vec![("static_security_matrix.csv".into(), csv)],
-    }
+pub fn static_matrix_report(verdict: &Verdict<StaticLeaks>) -> Report {
+    render_matrix(
+        verdict,
+        &Layout {
+            heading: format!(
+                "Static security analysis: abstract-interpretation leak bounds per \
+                 threat model, scenario and scheme (secret {BATTERY_SECRET}; zero \
+                 cycles simulated; each cell is the must/may probe-slot bracket \
+                 every dynamic measurement must fall inside; secure schemes must \
+                 show an empty may set on every scenario the model claims; * marks \
+                 a scenario outside the model's claim, where the channel must \
+                 still provably transmit)\n"
+            ),
+            label: |b| format!("{}must/{}may", b.must.len(), b.may.len()),
+            csv_name: "static_security_matrix.csv",
+            csv_header: "threat_model,scenario,scheme,claimed,must_slots,may_slots,\
+                         static_pass,claims_source\n",
+            csv_row: |c| {
+                format!(
+                    "{},{},{},{},{}",
+                    c.claimed,
+                    csv_slots(&c.evidence.must),
+                    csv_slots(&c.evidence.may),
+                    c.pass(),
+                    c.claims_source()
+                )
+            },
+            verified: "STATICALLY VERIFIED: every hand-written claim reproduced from \
+                       the rules; secure schemes provably leak nothing their threat \
+                       model claims, with zero simulation.\n",
+        },
+    )
 }
 
 #[cfg(test)]
@@ -306,8 +169,8 @@ mod tests {
             "2 models x 11 scenarios x 4 schemes"
         );
         assert!(verdict.drifts.is_empty(), "{:?}", verdict.drifts);
-        let failed: Vec<&StaticCell> = verdict.cells.iter().filter(|c| !c.pass).collect();
-        assert!(verdict.ok, "static verification failed: {failed:?}");
+        let failed: Vec<_> = verdict.cells.iter().filter(|c| !c.pass()).collect();
+        assert!(verdict.ok(), "static verification failed: {failed:?}");
         assert!(verdict.cells.iter().all(|c| c.claims_verified));
     }
 
@@ -349,7 +212,7 @@ mod tests {
     fn single_model_matrix_is_half_the_grid() {
         let verdict = analyze_security(&[ThreatModel::Spectre]);
         assert_eq!(verdict.cells.len(), 44);
-        assert!(verdict.ok);
+        assert!(verdict.ok());
     }
 
     #[test]
@@ -357,7 +220,7 @@ mod tests {
         let mut battery = attack_battery(BATTERY_SECRET);
         assert!(perturb_battery_claim(&mut battery, "spectre-v1"));
         let verdict = analyze_battery(&battery, &[ThreatModel::Spectre]);
-        assert!(!verdict.ok);
+        assert!(!verdict.ok());
         assert!(!verdict.drifts.is_empty());
         // The perturbed kernel's cells are flagged, everyone else's stay
         // verified.
@@ -372,14 +235,14 @@ mod tests {
         assert!(verdict
             .cells
             .iter()
-            .any(|c| c.scenario == "spectre-v1" && !c.pass));
+            .any(|c| c.scenario == "spectre-v1" && !c.pass()));
     }
 
     #[test]
     fn perturbing_an_unknown_scenario_is_reported() {
         let mut battery = attack_battery(BATTERY_SECRET);
         assert!(!perturb_battery_claim(&mut battery, "meltdown"));
-        assert!(analyze_battery(&battery, &[ThreatModel::Spectre]).ok);
+        assert!(analyze_battery(&battery, &[ThreatModel::Spectre]).ok());
     }
 
     #[test]

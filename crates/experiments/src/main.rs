@@ -447,11 +447,12 @@ fn run_verify_security(args: &Args, policy: &JobPolicy) -> bool {
         "verifying security: 11-scenario attack battery x 4 schemes x 2 schedulers x {}...",
         model_list(args)
     );
-    let verdict = verify_security_with(&args.threat_models, policy);
+    let battery = sb_workloads::attack_battery(BATTERY_SECRET);
+    let verdict = verify_security_with(&battery, &args.threat_models, policy);
     let report = security_matrix_report(&verdict);
     println!("{}", report.text);
     write_reports(&args.out, [&report]);
-    verdict.ok
+    verdict.ok()
 }
 
 /// The `analyze-security` subcommand: the static must/may matrix plus the
@@ -475,7 +476,7 @@ fn run_analyze_security(args: &Args) -> bool {
     let report = static_matrix_report(&verdict);
     println!("{}", report.text);
     write_reports(&args.out, [&report]);
-    let mut ok = verdict.ok;
+    let mut ok = verdict.ok();
     if args.self_check {
         let audit = extended_claims_audit();
         if audit.drifts.is_empty() {

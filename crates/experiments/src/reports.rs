@@ -6,13 +6,14 @@
 use crate::engine::{
     run_report_points, run_suites, ExperimentError, GridResults, RunOptions, RunSpec,
 };
+use crate::jobs::JobPolicy;
 use crate::render::{bar, format_table};
-use crate::security::{verify_security, BATTERY_SECRET};
+use crate::security::{verify_security_with, BATTERY_SECRET};
 use sb_core::{Scheme, ThreatModel};
 use sb_stats::{LinearFit, TrendPoint};
 use sb_timing::{area_estimate, frequency_mhz, relative_power, relative_timing, ActivityProfile};
 use sb_uarch::CoreConfig;
-use sb_workloads::{spec2017_profiles, WorkloadProfile};
+use sb_workloads::{attack_battery, spec2017_profiles, AttackKernel, WorkloadProfile};
 
 /// A rendered experiment: human-readable text plus named CSV payloads.
 #[derive(Debug, Clone)]
@@ -627,18 +628,22 @@ fn times_nda(errs: u64, nda_errors: u64) -> String {
     }
 }
 
-/// §7's security check: the Spectre v1 and SSB cells of the attack-battery
-/// judge (`verify_security`) under the Spectre threat model, one row per
-/// scheme. `Recovered` is the probe slot the event-wheel run leaked when it
-/// leaked exactly one (`None` otherwise); a row leaked when that slot is
-/// the battery's secret.
+/// §7's security check: the attack-battery judge (`verify_security_with`)
+/// run on the Spectre v1 and SSB kernels alone under the Spectre threat
+/// model, one row per scheme. `Recovered` is the probe slot the
+/// event-wheel run leaked when it leaked exactly one (`None` otherwise); a
+/// row leaked when that slot is the battery's secret.
 ///
 /// # Panics
 ///
 /// Panics if a battery cell fails to run.
 #[must_use]
 pub fn security_report() -> Report {
-    let verdict = verify_security(&[ThreatModel::Spectre]);
+    let battery: Vec<AttackKernel> = attack_battery(BATTERY_SECRET)
+        .into_iter()
+        .filter(|k| matches!(k.trace.name(), "spectre-v1" | "ssb"))
+        .collect();
+    let verdict = verify_security_with(&battery, &[ThreatModel::Spectre], &JobPolicy::default());
     assert!(
         verdict.job_failures.is_empty(),
         "security battery failed: {:?}",
@@ -651,12 +656,8 @@ pub fn security_report() -> Report {
         "Recovered".into(),
     ]];
     let mut csv = String::from("kernel,scheme,leaked,recovered\n");
-    for cell in verdict
-        .cells
-        .iter()
-        .filter(|c| c.scenario == "spectre-v1" || c.scenario == "ssb")
-    {
-        let slots = &cell.wheel.slots;
+    for cell in &verdict.cells {
+        let slots = &cell.evidence.wheel.slots;
         let recovered = slots.first().copied().filter(|_| slots.len() == 1);
         let leaked = recovered == Some(BATTERY_SECRET);
         let (kname, scheme) = (&cell.scenario, cell.scheme);

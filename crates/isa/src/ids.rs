@@ -92,12 +92,6 @@ impl fmt::Debug for ArchReg {
     }
 }
 
-impl fmt::Display for ArchReg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
-    }
-}
-
 /// A physical register tag (post-rename).
 ///
 /// High-performance cores carry an order of magnitude more physical than
@@ -164,12 +158,6 @@ impl fmt::Debug for Seq {
     }
 }
 
-impl fmt::Display for Seq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,9 +206,9 @@ mod tests {
 
     #[test]
     fn display_formats_are_nonempty() {
-        assert_eq!(format!("{}", ArchReg::int(7)), "x7");
-        assert_eq!(format!("{}", ArchReg::fp(7)), "f7");
+        assert_eq!(format!("{:?}", ArchReg::int(7)), "x7");
+        assert_eq!(format!("{:?}", ArchReg::fp(7)), "f7");
         assert_eq!(format!("{}", PhysReg::new(53)), "p53");
-        assert_eq!(format!("{}", Seq::new(9)), "#9");
+        assert_eq!(format!("{:?}", Seq::new(9)), "#9");
     }
 }

@@ -12,7 +12,6 @@
 //! transient execution explicitly.
 
 use crate::op::MicroOp;
-use std::fmt;
 
 /// Micro-ops fetched down the wrong path after a mispredicted branch, until
 /// the branch resolves and squashes them.
@@ -130,12 +129,6 @@ impl Trace {
             return 0.0;
         }
         self.ops.iter().filter(|o| pred(o)).count() as f64 / self.ops.len() as f64
-    }
-}
-
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} uops)", self.name, self.ops.len())
     }
 }
 
@@ -399,12 +392,5 @@ mod tests {
         let t = TraceBuilder::new("e").build();
         assert!(t.is_empty());
         assert_eq!(t.fraction(|_| true), 0.0);
-    }
-
-    #[test]
-    fn display_includes_name_and_size() {
-        let mut b = TraceBuilder::new("demo");
-        b.alu(ArchReg::int(1), None, None);
-        assert_eq!(format!("{}", b.build()), "demo (1 uops)");
     }
 }

@@ -5,7 +5,6 @@
 //! forwarding errors (§9.2), taint/broadcast activity (used by the power
 //! proxy in `sb-timing`), and scheduler activity.
 
-use std::fmt;
 use std::ops::AddAssign;
 
 /// A saturating event counter.
@@ -33,12 +32,6 @@ impl Counter {
 impl AddAssign<u64> for Counter {
     fn add_assign(&mut self, rhs: u64) {
         self.add(rhs);
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
     }
 }
 
@@ -70,16 +63,6 @@ impl StallBreakdown {
             + self.scheme.get()
             + self.dataflow.get()
             + self.execution.get()
-    }
-}
-
-impl fmt::Display for StallBreakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stalls: fe {} mem {} scheme {} data {} exec {}",
-            self.frontend, self.memory, self.scheme, self.dataflow, self.execution
-        )
     }
 }
 
@@ -162,20 +145,6 @@ impl SimStats {
     }
 }
 
-impl fmt::Display for SimStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} insts / {} cycles (IPC {:.3}), {} mispred, {} fwd-err",
-            self.committed,
-            self.cycles,
-            self.ipc(),
-            self.branch_mispredicts,
-            self.forwarding_errors
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +167,6 @@ mod tests {
         c.incr();
         c += 4;
         assert_eq!(c.get(), 5);
-        assert_eq!(format!("{c}"), "5");
     }
 
     #[test]
@@ -230,12 +198,6 @@ mod tests {
         s.l1d_hits.add(90);
         s.l1d_misses.add(10);
         assert!((s.l1d_miss_ratio() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        assert!(!format!("{}", SimStats::new()).is_empty());
-        assert!(!format!("{}", StallBreakdown::default()).is_empty());
     }
 
     #[test]

@@ -128,12 +128,6 @@ impl LinearFit {
     }
 }
 
-impl fmt::Display for LinearFit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "y = {:.4}x + {:.4}", self.slope, self.intercept)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,11 +207,5 @@ mod tests {
         assert!(few.contains("at least two points"), "{few}");
         let coincident = TrendError::CoincidentX.to_string();
         assert!(coincident.contains("coincide"), "{coincident}");
-    }
-
-    #[test]
-    fn display_shows_equation() {
-        let fit = LinearFit::fit(&[p(0.0, 1.0), p(1.0, 0.5)]).unwrap();
-        assert!(format!("{fit}").starts_with("y = "));
     }
 }

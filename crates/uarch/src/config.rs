@@ -23,15 +23,6 @@ pub enum Fidelity {
     Abstract,
 }
 
-impl fmt::Display for Fidelity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Fidelity::Rtl => "rtl",
-            Fidelity::Abstract => "abstract",
-        })
-    }
-}
-
 /// Which wakeup/select implementation the simulator runs.
 ///
 /// Both produce cycle-for-cycle identical [`sb_stats::SimStats`]; the
@@ -452,16 +443,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-impl fmt::Display for CoreConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({}-wide, {} mem ports, {} ROB, {})",
-            self.name, self.width, self.mem_ports, self.rob_entries, self.fidelity
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,11 +633,5 @@ mod tests {
             let sc = c.scheme_config(Scheme::Baseline);
             let _core = crate::Core::new(c, sc, trace());
         }
-    }
-
-    #[test]
-    fn display_mentions_name_and_width() {
-        let s = CoreConfig::mega().to_string();
-        assert!(s.contains("mega") && s.contains("4-wide"));
     }
 }

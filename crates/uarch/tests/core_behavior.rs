@@ -635,7 +635,7 @@ fn stall_attribution_is_complete_and_scheme_aware() {
     let rename = run(CoreConfig::mega(), Scheme::SttRename, starve);
     assert!(
         rename.stats().stalls.scheme.get() > 0,
-        "a broadcast-starved masked head must be attributed to the scheme: {}",
+        "a broadcast-starved masked head must be attributed to the scheme: {:?}",
         rename.stats().stalls
     );
     for scheme in Scheme::secure() {

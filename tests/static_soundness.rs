@@ -18,38 +18,26 @@
 //! [`SoundnessError`]: shadowbinding::analysis::SoundnessError
 
 use proptest::prelude::*;
+use sb_experiments::security::measure_leaks_in;
 use shadowbinding::analysis::{analyze_kernel, audit_battery, check_soundness};
-use shadowbinding::core::{Scheme, SchemeConfig, ThreatModel};
+use shadowbinding::core::{Scheme, ThreatModel};
 use shadowbinding::isa::{ArchReg, MicroOp, OpClass, TraceBuilder};
-use shadowbinding::uarch::{Core, CoreConfig, SchedulerKind};
+use shadowbinding::uarch::{CancelToken, CoreConfig, SchedulerKind};
 use shadowbinding::workloads::fuzz_attacks::{fuzz_battery, FAMILIES};
 use shadowbinding::workloads::{AttackKernel, ChannelKind, ProbeChannel, PROBE_BASE, PROBE_STRIDE};
 use std::collections::BTreeSet;
 
-/// The dynamic leak set of one run: channel-decoded transient slots.
+/// The dynamic leak set of one run, measured exactly as the
+/// `verify-security` judge measures it: channel-decoded transient slots.
 fn dynamic_slots(
     kernel: &AttackKernel,
     scheme: Scheme,
     model: ThreatModel,
     scheduler: SchedulerKind,
 ) -> BTreeSet<usize> {
-    let mut config = CoreConfig::mega();
-    config.scheduler = scheduler;
-    if let Some(p) = kernel.predictor {
-        config.predictor = shadowbinding::uarch::PredictorConfig::enabled(
-            p.pht_entries,
-            p.btb_entries,
-            p.ghr_bits,
-        );
-    }
-    let cfg = SchemeConfig::rtl(scheme, config.mem_ports).with_threat_model(model);
-    let mut core = Core::new(config, cfg, kernel.trace.clone());
-    core.memory_mut().attach_leakage_observer();
-    core.memory_mut().attach_contention_observer();
-    core.run_to_completion(1_000_000);
-    let leakage = core.memory().leakage_observer().expect("attached");
-    let contention = core.memory().contention_observer().expect("attached");
-    kernel.decode_transient_slots(leakage, contention)
+    measure_leaks_in(kernel, scheme, model, scheduler, &CancelToken::new())
+        .expect("a token that never fires cannot interrupt the run")
+        .slots
 }
 
 /// Checks `must ⊆ dynamic ⊆ may` for one kernel on every scheme, threat
